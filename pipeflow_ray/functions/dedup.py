@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from pipeflow_ray.functions.similarity import _list_matrix
 from pipeflow_ray.functions.text import fingerprint
 
 
@@ -121,12 +122,15 @@ class MinHasher:
         texts = t[self.text_col].to_pylist()
         ids = t[self.id_col].to_numpy(zero_copy_only=False)
         sigs = self.signatures(texts)
-        return pa.table(
-            {
-                self.id_col: pa.array(ids),
-                "sig": pa.array(list(sigs.astype(np.uint64))),
-            }
-        )
+        return pa.table({self.id_col: pa.array(ids), "sig": _sig_column(sigs)})
+
+
+def _sig_column(sigs: np.ndarray) -> pa.ListArray:
+    """``list<uint64>`` signature column from the (n, num_perm) matrix's
+    flat buffer plus offsets — no per-row arrays."""
+    n, p = sigs.shape
+    offsets = pa.array(np.arange(n + 1, dtype=np.int32) * np.int32(p))
+    return pa.ListArray.from_arrays(offsets, pa.array(sigs.astype(np.uint64).ravel()))
 
 
 class MinHashWithText(MinHasher):
@@ -142,7 +146,7 @@ class MinHashWithText(MinHasher):
             {
                 self.id_col: t[self.id_col],
                 self.text_col: t[self.text_col],
-                "sig": pa.array(list(sigs.astype(np.uint64))),
+                "sig": _sig_column(sigs),
             }
         )
 
@@ -212,8 +216,8 @@ def _raw_candidates_from_sigs(
 
     def _bands(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)
-        sig = np.stack([np.asarray(s) for s in t["sig"].to_pylist()]).astype(np.uint64)
         n = len(ids)
+        sig = _list_matrix(t["sig"], "sig", np.uint64).reshape(n, num_perm)
         out_id, out_band, out_hash = [], [], []
         for b in range(bands):
             chunk = sig[:, b * rows_per_band : (b + 1) * rows_per_band]
@@ -457,8 +461,8 @@ def _estimate_verify_batch(t: pa.Table, *, threshold: float, text_col: str,
                        "id_b": t["id_b"].to_numpy(zero_copy_only=False)})
     first = ~df.duplicated(["id_a", "id_b"]).to_numpy()
     t = t.filter(pa.array(first))
-    sa = np.stack([np.asarray(s, np.uint64) for s in t["sig_a"].to_pylist()])
-    sb = np.stack([np.asarray(s, np.uint64) for s in t["sig_b"].to_pylist()])
+    sa = _list_matrix(t["sig_a"], "sig_a", np.uint64)
+    sb = _list_matrix(t["sig_b"], "sig_b", np.uint64)
     t = t.filter(pa.array((sa == sb).mean(axis=1) >= threshold - margin))
     if t.num_rows == 0:
         return _EMPTY_JACCARD.empty_table()
@@ -732,6 +736,9 @@ def simhash_dup_pairs(
 # embedding cosine near-dup
 # ---------------------------------------------------------------------------
 
+_VERIFY_BLOCK = 1024  # rows per in-bucket verify matmul (bounds its memory)
+
+
 def embedding_neardup_pairs(
     ds: ray.data.Dataset,
     threshold: float = 0.95,
@@ -754,7 +761,7 @@ def embedding_neardup_pairs(
         table's hyperplane projections. Planes are rederived per batch from
         the seed (cheap: dim × planes × tables doubles) — no broadcast
         object needed."""
-        vecs = np.stack(t[vec_col].to_pylist()).astype(np.float64)
+        vecs = _list_matrix(t[vec_col], vec_col)
         dim = vecs.shape[1]
         rng = np.random.default_rng(seed)
         planes = rng.standard_normal((num_tables, dim, num_planes))
@@ -779,30 +786,35 @@ def embedding_neardup_pairs(
     bucketed = ds.map_batches(_bucket, batch_format="pyarrow")
 
     def _super_bucket_pairs(t: pa.Table) -> pa.Table:
-        """One call per hash super-bucket; inner loop over the (few)
-        (table, bucket) groups it contains, each verified with one matmul."""
+        """One call per hash super-bucket. Rows are unit-normalized once;
+        one stable argsort on the (table, bucket) key lays each group out
+        as a contiguous segment, and each group is verified in row blocks
+        against its own later rows (the upper triangle): O(block × n)
+        memory per group, never an n × n matrix or n² index arrays."""
         ids_all = t[id_col].to_numpy(zero_copy_only=False)
-        vecs_all = np.stack(t[vec_col].to_pylist()).astype(np.float64)
-        norms_all = t["norm"].to_numpy(zero_copy_only=False)
+        x = _list_matrix(t[vec_col], vec_col)
+        x /= t["norm"].to_numpy(zero_copy_only=False).clip(min=1e-12)[:, None]
         key = (t["table"].to_numpy(zero_copy_only=False).astype(np.int64) << 32) ^ t[
             "bucket"
         ].to_numpy(zero_copy_only=False)
+        order = np.argsort(key, kind="stable")
         out_a, out_b, out_c = [], [], []
-        for bval in np.unique(key):
-            m = key == bval
-            n = int(m.sum())
+        for g in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+            n = len(g)
             if n < 2 or n > 20_000:
                 continue
-            ids, vecs, norms = ids_all[m], vecs_all[m], norms_all[m]
-            sims = (vecs @ vecs.T) / np.outer(norms, norms).clip(min=1e-12)
-            a, b = np.triu_indices(n, k=1)
-            keep = sims[a, b] >= threshold
-            out_a.append(np.minimum(ids[a][keep], ids[b][keep]))
-            out_b.append(np.maximum(ids[a][keep], ids[b][keep]))
-            out_c.append(sims[a, b][keep])
+            ids, v = ids_all[g], x[g]
+            for r0 in range(0, n - 1, _VERIFY_BLOCK):
+                sims = v[r0:r0 + _VERIFY_BLOCK] @ v[r0:].T  # block rows × rows ≥ r0
+                r, c = np.nonzero(sims >= threshold)
+                keep = c > r
+                r, c = r[keep], c[keep]
+                a, b = ids[r0 + r], ids[r0 + c]
+                out_a.append(np.minimum(a, b))
+                out_b.append(np.maximum(a, b))
+                out_c.append(sims[r, c])
         if not out_a:
-            return pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
+            return _EMPTY_COSINE.empty_table()
         return pa.table({"id_a": pa.array(np.concatenate(out_a)),
                          "id_b": pa.array(np.concatenate(out_b)),
                          "cosine": pa.array(np.concatenate(out_c), pa.float64())})

@@ -1,5 +1,9 @@
 """Similarity search over an embedding column (``list<float>``).
 
+Every kernel turns its vector column into an ndarray through
+:func:`_list_matrix` — a zero-copy reshape of each Arrow chunk's flattened
+value buffer (no per-row Python lists) that raises on null or ragged rows.
+
 - :func:`brute_force_topk` — exact cosine top-k: the query matrix is
   broadcast ONCE (``ray.put``); each batch does one numpy matmul and emits
   only its local top-k per query; a final tiny groupby merges partials.
@@ -27,28 +31,61 @@ import ray
 import ray.data
 
 
-def _to_matrix(col) -> np.ndarray:
-    return np.stack(col.to_pylist()).astype(np.float64)
+def _list_matrix(col, name: str, dtype=np.float64) -> np.ndarray:
+    """(n, d) *dtype* matrix from a fixed-width list column (``list``,
+    ``large_list`` or ``fixed_size_list``; Array or ChunkedArray, sliced
+    chunks included) via each chunk's flattened value buffer — no per-row
+    Python objects. Also accepts Ray's ArrowTensorArray extension chunks
+    (what ``from_pandas`` produces for ndarray cells). This is the one
+    list → ndarray path of the vector and signature kernels; pass
+    ``dtype=np.uint64`` for MinHash signatures (exact above 2^53).
 
-
-def _list_matrix(col) -> np.ndarray:
-    """(n, d) float64 from a non-null fixed-width ``list<float>`` column via
-    the flattened value buffer — no per-row Python objects. Also accepts
-    Ray's ArrowTensorArray extension chunks (what ``from_pandas`` produces
-    for ndarray cells)."""
-    chunks = col.chunks if hasattr(col, "chunks") else [col]
+    Raises ``ValueError`` naming *name* on a null row, a null value inside
+    a row, or rows of unequal length — a flattened buffer would silently
+    reshape those wrong. An empty column gives shape ``(0, 0)``."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
     parts = []
     for ch in chunks:
         if not len(ch):
             continue
-        if hasattr(ch, "flatten"):  # plain list<float>
-            flat = ch.flatten().to_numpy(zero_copy_only=False)
-            parts.append(flat.reshape(len(ch), -1))
-        else:  # tensor extension array: to_numpy is already (n, d)
-            parts.append(np.asarray(ch.to_numpy(zero_copy_only=False)))
+        if ch.null_count:
+            raise ValueError(f"column {name!r}: {ch.null_count} null row(s)")
+        if isinstance(ch, pa.ExtensionArray):  # tensor extension: already (n, d…)
+            arr = np.asarray(ch.to_numpy(zero_copy_only=False))
+            if arr.dtype == object:  # variable-shaped tensors
+                raise ValueError(f"column {name!r}: rows of unequal length")
+            parts.append(arr.reshape(len(ch), -1))
+            continue
+        if not (pa.types.is_list(ch.type) or pa.types.is_large_list(ch.type)
+                or pa.types.is_fixed_size_list(ch.type)):
+            raise ValueError(f"column {name!r}: not a list column ({ch.type})")
+        flat = ch.flatten()
+        if flat.null_count:
+            raise ValueError(f"column {name!r}: {flat.null_count} null value(s) inside rows")
+        width = len(flat) // len(ch)
+        if not pa.types.is_fixed_size_list(ch.type):
+            lengths = np.diff(ch.offsets.to_numpy())
+            if (lengths != width).any():
+                raise ValueError(f"column {name!r}: rows of unequal length "
+                                 f"({int(lengths.min())}..{int(lengths.max())})")
+        parts.append(flat.to_numpy(zero_copy_only=False).reshape(len(ch), width))
     if not parts:
-        return np.empty((0, 0), np.float64)
-    return np.concatenate(parts).astype(np.float64, copy=False)
+        return np.empty((0, 0), dtype)
+    if len({p.shape[1] for p in parts}) > 1:
+        raise ValueError(f"column {name!r}: rows of unequal length across chunks")
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out = out.astype(dtype, copy=False)
+    # a same-dtype single chunk is a read-only view of the Arrow buffer;
+    # callers normalize in place
+    return out if out.flags.writeable else out.copy()
+
+
+def _collect_arrow(ds: ray.data.Dataset) -> pa.Table:
+    """A small Dataset (a training sample, seed rows) as ONE driver-side
+    Arrow table, so its vector column reaches :func:`_list_matrix` as list
+    buffers rather than as per-row ndarray cells of a pandas frame."""
+    tables = ray.get(ds.to_arrow_refs())
+    return pa.concat_tables([t for t in tables if t.num_rows])
 
 
 @_functools.lru_cache(maxsize=8)
@@ -60,7 +97,7 @@ def _cached_broadcast(ref: ray.ObjectRef):
 
 def _bf_partial(t: pa.Table, *, qref, k: int, vec_col: str, id_col: str) -> pa.Table:
     q = _cached_broadcast(qref)
-    vecs = _to_matrix(t[vec_col])
+    vecs = _list_matrix(t[vec_col], vec_col)
     vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True).clip(min=1e-12)
     ids = t[id_col].to_numpy(zero_copy_only=False)
     sims = q @ vecs.T  # (Q, B)
@@ -131,12 +168,12 @@ def train_centroids(
     n = ds.count()
     if n > sample_rows:
         frac = min(1.0, (sample_rows * 1.25) / n)
-        sample = ds.random_sample(frac, seed=seed).limit(sample_rows).to_pandas()
+        sample = _collect_arrow(ds.random_sample(frac, seed=seed).limit(sample_rows))
         if len(sample) < min(sample_rows // 2, n // 2):  # pathological under-sample
-            sample = ds.limit(sample_rows).to_pandas()
+            sample = _collect_arrow(ds.limit(sample_rows))
     else:
-        sample = ds.to_pandas()
-    x = np.stack(sample[vec_col].to_numpy()).astype(np.float64)
+        sample = _collect_arrow(ds)
+    x = _list_matrix(sample[vec_col], vec_col)
     rng = np.random.default_rng(seed)
     cent = x[rng.choice(len(x), size=min(n_clusters, len(x)), replace=False)]
     for _ in range(iters):
@@ -151,7 +188,7 @@ def train_centroids(
 
 def _ivf_partial(t: pa.Table, *, cref, k: int, vec_col: str, id_col: str) -> pa.Table:
     cent, q, probe_sets = _cached_broadcast(cref)
-    vecs = _to_matrix(t[vec_col])
+    vecs = _list_matrix(t[vec_col], vec_col)
     ids = t[id_col].to_numpy(zero_copy_only=False)
     d = ((vecs[:, None, :] - cent[None, :, :]) ** 2).sum(-1)
     cluster = d.argmin(1)
@@ -231,7 +268,7 @@ def _corpus_cell_prep(t: pa.Table, *, cref, vec_col: str, id_col: str) -> pa.Tab
         return pa.table({"__cell": pa.array([], pa.int64()),
                          "__id": t[id_col], "__vec": t[vec_col]})
     cent = _cached_broadcast(cref)
-    v = _list_matrix(t[vec_col])
+    v = _list_matrix(t[vec_col], vec_col)
     # argmin_c |v-c|^2 = argmin_c (|c|^2 - 2 v·c); |v|^2 is constant per row
     cell = (-2.0 * (v @ cent.T) + (cent * cent).sum(1)).argmin(1)
     return pa.table({
@@ -248,7 +285,7 @@ def _query_cell_prep(t: pa.Table, *, cref, nprobe: int, vec_col: str,
         return pa.table({"__cell": pa.array([], pa.int64()),
                          "__qid": t[id_col], "__qvec": t[vec_col]})
     cent = _cached_broadcast(cref)
-    q = _list_matrix(t[vec_col])
+    q = _list_matrix(t[vec_col], vec_col)
     d = -2.0 * (q @ cent.T) + (cent * cent).sum(1)
     npb = min(nprobe, d.shape[1])
     probed = np.argpartition(d, npb - 1, axis=1)[:, :npb]  # (Q, npb)
@@ -272,9 +309,9 @@ def _cell_topk_task(k: int, exclude_self: bool, n_corpus: int, *slices):
     qt = pa.concat_tables(queries, promote_options="default")
     c_cell = ct["__cell"].to_numpy(zero_copy_only=False)
     q_cell = qt["__cell"].to_numpy(zero_copy_only=False)
-    V = _list_matrix(ct["__vec"])
+    V = _list_matrix(ct["__vec"], "__vec")
     V /= np.linalg.norm(V, axis=1, keepdims=True).clip(min=1e-12)
-    Q = _list_matrix(qt["__qvec"])
+    Q = _list_matrix(qt["__qvec"], "__qvec")
     Q /= np.linalg.norm(Q, axis=1, keepdims=True).clip(min=1e-12)
     ids = ct["__id"].to_numpy(zero_copy_only=False)
     qids = qt["__qid"].to_numpy(zero_copy_only=False)
@@ -388,7 +425,7 @@ def _nrows(t) -> int:
 
 
 def _quantize(t: pa.Table, vec_col: str, scale: int) -> np.ndarray:
-    return np.floor(_list_matrix(t[vec_col]) * float(scale)).astype(np.int64)
+    return np.floor(_list_matrix(t[vec_col], vec_col) * float(scale)).astype(np.int64)
 
 
 def _assign_int(x: np.ndarray, cent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,9 +520,8 @@ def _kmeans_train(ds, k, iters, scale, vec_col, id_col, init, cache):
             import pyarrow.compute as _pc
             return t.filter(_pc.less(t[id_col], k))
 
-        seeds = (ds.map_batches(_seed_rows, batch_format="pyarrow")
-                 .to_pandas().sort_values(id_col))
-        init = np.stack(seeds[vec_col].to_numpy()).astype(np.float64)
+        seeds = _collect_arrow(ds.map_batches(_seed_rows, batch_format="pyarrow"))
+        init = _list_matrix(seeds.sort_by(id_col)[vec_col], vec_col)
     cent = np.floor(init.astype(np.float64) * float(scale)).astype(np.int64)
 
     if cache:
@@ -546,7 +582,7 @@ def _sem_pairs(tau2: int, scale: int):
             m = cl == c
             if m.sum() < 2:
                 continue
-            x = np.floor(_list_matrix(t.filter(pa.array(m))["__vec"])
+            x = np.floor(_list_matrix(t.filter(pa.array(m))["__vec"], "__vec")
                          * float(scale)).astype(np.int64)
             cid = ids[m]
             g = x @ x.T
@@ -630,14 +666,12 @@ def knn_classify(
     from pipeflow_ray.functions.dedup import _stable_empty
     from pipeflow_ray.stages.core import grouped_by_bucket
 
-    side = ds.map_batches(
+    side = _collect_arrow(ds.map_batches(
         lambda t: t.select([id_col, vec_col, label_col]), batch_format="pyarrow"
-    ).to_pandas()
-    side = side.sort_values(id_col)
-    qids = side[id_col].to_numpy(np.int64)
-    qx = np.floor(np.stack(side[vec_col].to_numpy()).astype(np.float64)
-                  * float(scale)).astype(np.int64)
-    labels = dict(zip(side[id_col].tolist(), side[label_col].tolist()))
+    )).sort_by(id_col)
+    qids = side[id_col].to_numpy().astype(np.int64)
+    qx = np.floor(_list_matrix(side[vec_col], vec_col) * float(scale)).astype(np.int64)
+    labels = dict(zip(side[id_col].to_pylist(), side[label_col].to_pylist()))
     qref = ray.put((qids, qx))
     lref = ray.put(labels)
 

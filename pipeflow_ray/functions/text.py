@@ -676,7 +676,7 @@ def bm25_topk(docs, query_terms, k: int = 10, k1: float = 1.2, b: float = 0.75,
     import functools
 
     import ray
-    import ray.data
+    import ray.data as _rd
 
     term_union = sorted({str(w) for qts in query_terms for w in qts})
     terms = np.array(term_union, dtype=object)
@@ -686,8 +686,10 @@ def bm25_topk(docs, query_terms, k: int = 10, k1: float = 1.2, b: float = 0.75,
         functools.partial(_bm25_stats_partial, terms_ref=terms_ref, text_col=text_col),
         batch_format="pyarrow",
     ).to_pandas()
-    agg = parts.groupby("idx")["val"].sum()
-    n_docs = int(agg.loc[big_t])
+    agg = parts.groupby("idx")["val"].sum() if len(parts) else pd.Series(dtype=np.int64)
+    n_docs = int(agg.get(big_t, 0))
+    if n_docs == 0:  # empty corpus: no idf, no average length, no hits
+        return _rd.from_arrow(_bm25_empty(id_col))
     total_tokens = int(agg.loc[big_t + 1])
     df = np.zeros(big_t, np.int64)
     tdf = agg[agg.index < big_t]
@@ -704,9 +706,16 @@ def bm25_topk(docs, query_terms, k: int = 10, k1: float = 1.2, b: float = 0.75,
         batch_format="pyarrow",
     )
     pdf = partials.to_pandas()
+    if not len(pdf):  # no doc matches any query term
+        return _rd.from_arrow(_bm25_empty(id_col))
     pdf = pdf.sort_values(["query_id", "score_micro", id_col],
                           ascending=[True, False, True], kind="mergesort")
     pdf = pdf.groupby("query_id", sort=True).head(k).reset_index(drop=True)
     pdf["rk"] = (pdf.groupby("query_id").cumcount().to_numpy() + 1).astype(np.int64)
-    import ray.data as _rd
     return _rd.from_pandas(pdf)
+
+
+def _bm25_empty(id_col: str) -> pa.Table:
+    return pa.schema([("query_id", pa.int64()), (id_col, pa.int64()),
+                      ("score_micro", pa.int64()), ("n_terms", pa.int64()),
+                      ("rk", pa.int64())]).empty_table()

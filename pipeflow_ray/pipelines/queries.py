@@ -2053,7 +2053,7 @@ def _kmeans_prefix_sql(k: int, iters: int, scale: int) -> str:
           FROM a{i} a JOIN q USING (vec_id) WHERE a.rk = 1 GROUP BY 1, 2),
  c{i} AS (SELECT p.cluster, p.dim,
                  CASE WHEN s.n IS NULL THEN p.c
-                      ELSE CAST((s.s - (((s.s % s.n) + s.n) % s.n)) / s.n AS BIGINT)
+                      ELSE CAST((s.s - (((s.s % s.n) + s.n) % s.n)) // s.n AS BIGINT)
                  END AS c
           FROM {prev} p LEFT JOIN s{i} s USING (cluster, dim))""")
         prev = f"c{i}"

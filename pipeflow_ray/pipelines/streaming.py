@@ -2148,13 +2148,17 @@ class ParallelKleeneRunner(_ParallelReplayBase):
                  read_columns: "list[str] | None" = None,
                  seal_gap_s: float | None = None, stitch: bool = False,
                  emit=()):
-        from pipeflow_ray.stages.cep import check_kleene_emit, pattern_columns
+        from pipeflow_ray.stages.cep import MAX_STEPS, check_kleene_emit, pattern_columns
 
         super().__init__(lateness_s, num_buckets, max_replayers, epoch_batches)
         plus_idx = [i for i, s in enumerate(steps)
                     if isinstance(s, tuple) and len(s) == 2 and s[0] == "+"]
         if len(plus_idx) != 1:
             raise ValueError("ParallelKleeneRunner needs exactly one ('+', step)")
+        if len(steps) > MAX_STEPS:  # the replayers' bitmask is one uint32 word
+            raise ValueError(
+                f"Kleene patterns are single-word: at most {MAX_STEPS} steps "
+                f"(got {len(steps)})")
         self.n_pre = plus_idx[0]
         self.n_post = len(steps) - self.n_pre - 1
         self.steps = [s[1] if i == self.n_pre else s for i, s in enumerate(steps)]

@@ -99,6 +99,29 @@ def test_step_validation():
         compute_step_bits(df, [{"role": "user"}] * 33)
 
 
+def test_kleene_step_bound_is_eager():
+    """Kleene patterns keep one uint32 bitmask word: the batch forms
+    (match_kleene, a match_many Kleene entry) and the streaming runner all
+    refuse more than 32 steps up front, before any task runs."""
+    from pipeflow_ray.pipelines.streaming import (
+        ParallelCheckpointingKleeneRunner,
+        ParallelKleeneRunner,
+    )
+    from pipeflow_ray.stages.cep import MAX_STEPS, match_kleene, match_many
+
+    steps = [{"role": "user"}, ("+", {"role": "tool"})] + [{"role": "user"}] * (MAX_STEPS - 1)
+    assert len(steps) == MAX_STEPS + 1
+    with pytest.raises(ValueError, match="at most 32 steps"):
+        match_kleene(None, steps)
+    with pytest.raises(ValueError, match="single-word"):
+        match_many(None, {"long": {"steps": steps}})
+    with pytest.raises(ValueError, match="at most 32 steps"):
+        ParallelKleeneRunner(steps, stitch=True)
+    with pytest.raises(ValueError, match="at most 32 steps"):
+        ParallelCheckpointingKleeneRunner(steps, stitch=True)
+    ParallelKleeneRunner(steps[:MAX_STEPS], stitch=True)  # 32 steps: at the bound
+
+
 def test_match_pattern_dataset(transcripts_table):
     """Batch Dataset path (prep → exchange → bucket scan) equals brute force
     on the deterministic transcripts fixture."""

@@ -1,0 +1,200 @@
+"""Zero-copy vector prep (``similarity._list_matrix``), the blocked
+embedding near-dup verify, and empty-input schemas of the retrieval ops."""
+
+from __future__ import annotations
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+import ray.data
+
+from pipeflow_ray.functions.dedup import _sig_column, embedding_neardup_pairs
+from pipeflow_ray.functions.similarity import _list_matrix
+
+
+def _rows(x: np.ndarray, typ=pa.float32()) -> pa.ListArray:
+    flat = pa.array(x.ravel(), typ)
+    return pa.FixedSizeListArray.from_arrays(flat, x.shape[1]).cast(pa.list_(typ))
+
+
+def test_list_matrix_sliced_chunks_keep_their_offset():
+    x = np.arange(40, dtype=np.float32).reshape(10, 4)
+    col = _rows(x)
+    for lo, n in ((3, 4), (0, 10), (9, 1)):
+        got = _list_matrix(col.slice(lo, n), "v")
+        assert got.dtype == np.float64 and got.shape == (n, 4)
+        np.testing.assert_array_equal(got, x[lo:lo + n])
+    fixed = pa.FixedSizeListArray.from_arrays(pa.array(x.ravel()), 4).slice(2, 5)
+    np.testing.assert_array_equal(_list_matrix(fixed, "v"), x[2:7])
+    large = col.cast(pa.large_list(pa.float32())).slice(5, 3)
+    np.testing.assert_array_equal(_list_matrix(large, "v"), x[5:8])
+
+
+def test_list_matrix_multi_chunk_and_writable():
+    x = np.random.default_rng(0).standard_normal((9, 3))
+    col = _rows(x, pa.float64())
+    chunked = pa.chunked_array([col.slice(0, 2), col.slice(2, 0), col.slice(2, 7)])
+    got = _list_matrix(chunked, "v")
+    np.testing.assert_array_equal(got, x)
+    single = _list_matrix(pa.chunked_array([col]), "v")  # same dtype: no cast copy
+    single /= 2.0  # callers normalize in place
+    np.testing.assert_array_equal(single, x / 2.0)
+
+
+def test_list_matrix_tensor_extension_chunks():
+    from ray.data.extensions import ArrowTensorArray
+
+    x = np.arange(24, dtype=np.float32).reshape(6, 4)
+    ext = ArrowTensorArray.from_numpy(x)
+    np.testing.assert_array_equal(_list_matrix(ext, "v"), x)
+    np.testing.assert_array_equal(_list_matrix(ext.slice(1, 3), "v"), x[1:4])
+    mixed = pa.chunked_array([ext.slice(0, 2), ext.slice(2, 4)])
+    np.testing.assert_array_equal(_list_matrix(mixed, "v"), x)
+
+
+def test_list_matrix_empty_input():
+    for col in (pa.array([], pa.list_(pa.float32())),
+                pa.chunked_array([], pa.list_(pa.float32())),
+                _rows(np.ones((3, 2), np.float32)).slice(3, 0)):
+        got = _list_matrix(col, "v")
+        assert got.shape == (0, 0) and got.dtype == np.float64
+    assert _list_matrix(pa.array([], pa.list_(pa.uint64())), "sig", np.uint64).dtype == np.uint64
+
+
+def test_list_matrix_uint64_signatures_bit_exact():
+    rng = np.random.default_rng(1)
+    sigs = rng.integers(0, np.iinfo(np.uint64).max, size=(7, 64), dtype=np.uint64,
+                        endpoint=True)
+    sigs[0, :3] = [2**53 + 1, 2**64 - 1, 2**63 + 12345]  # not representable as float64
+    col = _sig_column(sigs)
+    assert col.type == pa.list_(pa.uint64()) and len(col) == 7
+    assert col.to_pylist()[3] == sigs[3].tolist()
+    got = _list_matrix(col.slice(0, 7), "sig", np.uint64)
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, sigs)
+    assert _sig_column(np.empty((0, 64), np.uint64)).type == pa.list_(pa.uint64())
+
+
+@pytest.mark.parametrize("col, what", [
+    (pa.array([[1.0, 2.0], None, [3.0, 4.0]], pa.list_(pa.float32())), "null row"),
+    (pa.array([[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]], pa.list_(pa.float32())),
+     "unequal length"),
+    (pa.array([[1.0, 2.0], [3.0, 4.0], [5.0]], pa.list_(pa.float32())), "unequal length"),
+    (pa.array([[1.0, 2.0], [3.0, None]], pa.list_(pa.float32())), "null value"),
+    (pa.chunked_array([pa.array([[1.0, 2.0]]), pa.array([[1.0, 2.0, 3.0]])]),
+     "unequal length"),
+    (pa.array([1.0, 2.0]), "not a list"),
+])
+def test_list_matrix_rejects_malformed_rows(col, what):
+    with pytest.raises(ValueError, match=rf"'embedding'.*{what}"):
+        _list_matrix(col, "embedding")
+
+
+def _exact_pairs(x: np.ndarray, ids: np.ndarray, threshold: float) -> dict:
+    """{(id_a, id_b): cosine} for every pair with cosine ≥ threshold, by
+    blockwise float64 matmul over all rows."""
+    xn = x / np.linalg.norm(x, axis=1, keepdims=True)
+    out = {}
+    for r0 in range(0, len(xn), 512):
+        sims = xn[r0:r0 + 512] @ xn.T
+        for r, c in zip(*np.nonzero(sims >= threshold)):
+            i, j = r0 + r, c
+            if i < j:
+                a, b = sorted((int(ids[i]), int(ids[j])))
+                out[(a, b)] = float(sims[r, c])
+    return out
+
+
+def test_embedding_neardup_hot_bucket_crosses_verify_blocks():
+    """One hot LSH group of 3,000 vectors (about three 1,024-row verify
+    blocks) with planted duplicates, plus scattered background rows.
+
+    The kernel derives its hyperplanes from ``seed``; the test rebuilds
+    table 0's planes the same way and keeps only candidates that land in
+    the hot bucket, so every pair inside the hot group is verified and the
+    result must equal the exact numpy pairs there."""
+    from pipeflow_ray.functions.dedup import _VERIFY_BLOCK
+
+    dim, num_planes, num_tables, seed, threshold = 16, 12, 6, 42, 0.97
+    hot_n, n_dup, n_bg = 3_000, 40, 400
+    assert hot_n > 2 * _VERIFY_BLOCK
+    planes = np.random.default_rng(seed).standard_normal((num_tables, dim, num_planes))[0]
+    rng = np.random.default_rng(7)
+    center = rng.standard_normal(dim)
+    center /= np.linalg.norm(center)
+
+    def in_hot_bucket(v32):
+        """Rows of float32 *v32* whose table-0 signbits equal the center's,
+        none within rounding of a plane."""
+        proj = v32.astype(np.float64) @ planes
+        return ((proj > 0) == (center @ planes > 0)).all(axis=1) & (
+            np.abs(proj).min(axis=1) > 1e-6)
+
+    hot = []
+    while sum(len(h) for h in hot) < hot_n:
+        cand = (center + 0.3 * rng.standard_normal((4_000, dim)) / np.sqrt(dim)
+                ).astype(np.float32)
+        hot.append(cand[in_hot_bucket(cand)])
+    hot = np.concatenate(hot)[:hot_n]
+    # planted near-duplicates: the copy gets a tiny nudge that keeps the bucket
+    src = rng.choice(hot_n, size=2 * n_dup, replace=False)
+    planted_rows = []
+    for s_i, d_i in zip(src[:n_dup], src[n_dup:]):
+        for _ in range(100):
+            cand = hot[s_i] + (1e-3 * rng.standard_normal(dim)).astype(np.float32)
+            if in_hot_bucket(cand[None, :])[0]:
+                hot[d_i] = cand
+                planted_rows.append((s_i, d_i))
+                break
+    assert len(planted_rows) == n_dup
+    bg = rng.standard_normal((n_bg, dim)).astype(np.float32)
+    bg[1] = bg[0]  # an exact duplicate collides in every table
+    x = np.concatenate([hot, bg])
+    ids = rng.permutation(len(x)).astype(np.int64) * 5 + 3  # sparse, unordered
+    order = rng.permutation(len(x))  # hot rows spread over the input blocks
+    t = pa.table({"vec_id": pa.array(ids[order]), "embedding": _rows(x[order])})
+
+    got = embedding_neardup_pairs(ray.data.from_arrow(t).repartition(5),
+                                  threshold=threshold).to_pandas()
+    exp = _exact_pairs(x.astype(np.float64), ids, threshold - 1e-9)
+    got_pairs = list(zip(got.id_a.tolist(), got.id_b.tolist()))
+    assert len(set(got_pairs)) == len(got_pairs), "a pair was emitted twice"
+    # exact precision, with the exact cosine
+    for (a, b), cos in zip(got_pairs, got.cosine.tolist()):
+        assert a < b and (a, b) in exp
+        assert abs(cos - exp[(a, b)]) <= 1e-9
+    # every true pair inside the hot group, planted ones included
+    hot_ids = set(ids[:hot_n].tolist())
+    must = {p for p, c in exp.items() if p[0] in hot_ids and p[1] in hot_ids
+            and c >= threshold + 1e-9}
+    planted = {tuple(sorted((int(ids[s_i]), int(ids[d_i])))) for s_i, d_i in planted_rows}
+    assert planted <= must
+    assert must <= set(got_pairs)
+    bg_dup = tuple(sorted((int(ids[hot_n]), int(ids[hot_n + 1]))))
+    assert bg_dup in set(got_pairs)
+
+
+def test_embedding_neardup_empty_input_schema():
+    t = pa.table({"vec_id": pa.array([], pa.int64()),
+                  "embedding": pa.array([], pa.list_(pa.float32()))})
+    got = embedding_neardup_pairs(ray.data.from_arrow(t))
+    sch = got.schema()
+    assert dict(zip(sch.names, sch.types)) == {
+        "id_a": pa.int64(), "id_b": pa.int64(), "cosine": pa.float64()}
+    assert got.count() == 0
+
+
+def test_bm25_topk_empty_corpus_and_no_match():
+    from pipeflow_ray.functions.text import bm25_topk
+
+    expect = {"query_id": pa.int64(), "doc_id": pa.int64(), "score_micro": pa.int64(),
+              "n_terms": pa.int64(), "rk": pa.int64()}
+    empty = pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    nomatch = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                        "text": pa.array(["alpha beta", "gamma"])})
+    for docs in (empty, nomatch):
+        got = bm25_topk(ray.data.from_arrow(docs), [["zeta"], ["eta", "theta"]], k=3)
+        sch = got.schema()
+        assert dict(zip(sch.names, sch.types)) == expect
+        assert got.count() == 0
