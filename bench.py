@@ -1,9 +1,12 @@
 """Benchmark harness.
 
-Default: run the headline pipelines over ``$GRAFT_SF_DIR`` (default
-/root/testdata/sf0.1) with ``ray.init(num_cpus=$RAY_GRAFT_CPUS or 32)`` and
-print ONE JSON line: ``{"metric": ..., "value": <headline sec>, "unit":
-"sec", "queries": {...}, "sf": ..., "num_cpus": N}``.
+Default: run the headline pipelines over ``$GRAFT_SF_DIR`` (default: the
+sf0.1 test data) with ``ray.init(num_cpus=$RAY_GRAFT_CPUS)`` and print ONE
+JSON line: ``{"metric": ..., "value": <headline sec>, "unit":
+"sec", "queries": {...}, "sf": ..., "num_cpus": N, "usable_cores": U}``.
+``RAY_GRAFT_CPUS`` defaults to the usable cores (the affinity mask, capped by
+the cgroup CPU quota); asking for more oversubscribes the host and prints a
+warning, since walls then stop being comparable across hosts.
 
 ``--scaling``: run the headline pipeline in two fresh processes at 8 and 32
 CPUs on the same input (the sandbox proxy for the N vs 4N node criterion) and
@@ -204,6 +207,33 @@ def _pin_worker_threads():
     pa.set_io_thread_count(2)
 
 
+def _cgroup_cpu_quota() -> float | None:
+    """CPUs allowed by the cgroup CPU quota (v2, then v1), or None when
+    unlimited or unreadable."""
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as f:
+            quota, period = f.read().split()[:2]
+        return None if quota == "max" else int(quota) / int(period)
+    except (OSError, ValueError):
+        pass
+    try:
+        with open("/sys/fs/cgroup/cpu/cpu.cfs_quota_us") as f:
+            quota = int(f.read())
+        with open("/sys/fs/cgroup/cpu/cpu.cfs_period_us") as f:
+            period = int(f.read())
+    except (OSError, ValueError):
+        return None
+    return quota / period if quota > 0 and period > 0 else None
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask, capped by the cgroup
+    CPU quota (a fractional quota still leaves one core)."""
+    n = len(os.sched_getaffinity(0))
+    quota = _cgroup_cpu_quota()
+    return n if quota is None else max(1, min(n, int(quota)))
+
+
 def bench_once() -> dict:
     _pin_worker_threads()
     # Ray workers resolve imports via PYTHONPATH, not the driver's sys.path —
@@ -212,7 +242,11 @@ def bench_once() -> dict:
     import ray
 
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    usable = usable_cores()
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", usable))
+    if num_cpus > usable:
+        print(f"bench.py: warning: RAY_GRAFT_CPUS={num_cpus} exceeds the {usable} "
+              "usable cores; the run oversubscribes this host", file=sys.stderr)
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False, logging_level="ERROR",
              runtime_env={"env_vars": {"OMP_NUM_THREADS": "1", "ARROW_NUM_THREADS": "1"}})
     from ray.data import DataContext
@@ -242,6 +276,7 @@ def bench_once() -> dict:
         "queries": queries,
         "sf": sf_of_dir(sf_dir),
         "num_cpus": num_cpus,
+        "usable_cores": usable,
         "turns": n_turns,
         "turns_per_sec": round(n_turns / wall, 1),
         "headline_reps": reps,

@@ -18,9 +18,18 @@ Public API surface (mirrors the reference's fluent shape,
         .to_parquet(out))
 """
 
-from pipeflow_ray.pipeline import Pipeline, PipelineResult
 from pipeflow_ray.schema import TRANSCRIPT_SCHEMA
 
 __version__ = "0.1.0"
 
 __all__ = ["Pipeline", "PipelineResult", "TRANSCRIPT_SCHEMA", "__version__"]
+
+
+def __getattr__(name: str):
+    # PEP 562: ``Pipeline`` pulls in ``ray.data`` (≈0.7 s of imports), which
+    # every streaming actor process would otherwise pay on loading this package
+    if name in ("Pipeline", "PipelineResult"):
+        from pipeflow_ray import pipeline
+
+        return getattr(pipeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -83,9 +83,19 @@ def _list_matrix(col, name: str, dtype=np.float64) -> np.ndarray:
 def _collect_arrow(ds: ray.data.Dataset) -> pa.Table:
     """A small Dataset (a training sample, seed rows) as ONE driver-side
     Arrow table, so its vector column reaches :func:`_list_matrix` as list
-    buffers rather than as per-row ndarray cells of a pandas frame."""
-    tables = ray.get(ds.to_arrow_refs())
-    return pa.concat_tables([t for t in tables if t.num_rows])
+    buffers rather than as per-row ndarray cells of a pandas frame. A
+    Dataset without rows gives a table without columns."""
+    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    return pa.concat_tables(tables) if tables else pa.table({})
+
+
+def _empty_topk(id_col: str) -> ray.data.Dataset:
+    """The top-k result of a search that found nothing (an empty corpus),
+    with its declared schema."""
+    return ray.data.from_arrow(pa.schema([
+        ("query_id", pa.int64()), (id_col, pa.int64()),
+        ("cosine", pa.float64()), ("rank", pa.int64()),
+    ]).empty_table())
 
 
 @_functools.lru_cache(maxsize=8)
@@ -144,6 +154,8 @@ def _merge_partial_topk(partials: ray.data.Dataset, k: int, id_col: str) -> ray.
     replaces a whole sort-based ``groupby(query_id)`` shuffle (measured ~2 s
     of pure overhead at sf0.1) — this is NOT a corpus materialization."""
     df = partials.to_pandas()
+    if not len(df):
+        return _empty_topk(id_col)
     df = df.sort_values(["query_id", "cosine", id_col],
                         ascending=[True, False, True], kind="mergesort")
     df = df.groupby("query_id", sort=True).head(k).reset_index(drop=True)
@@ -164,8 +176,11 @@ def train_centroids(
     sample is small by construction; the full corpus never leaves the tasks).
 
     Sampling is uniform via ``random_sample`` over every block — ``limit()``
-    would take only the first blocks, a biased sample (round-1 VERDICT)."""
+    would take only the first blocks, a biased sample (round-1 VERDICT).
+    An empty Dataset gives a (0, 0) matrix."""
     n = ds.count()
+    if n == 0:
+        return np.empty((0, 0))
     if n > sample_rows:
         frac = min(1.0, (sample_rows * 1.25) / n)
         sample = _collect_arrow(ds.random_sample(frac, seed=seed).limit(sample_rows))
@@ -234,6 +249,8 @@ def ivf_topk(
     cluster — the standard IVF tradeoff; brute_force_topk is the oracle.
     """
     cent = train_centroids(ds, n_clusters, vec_col)
+    if not len(cent):
+        return _empty_topk(id_col)
     qn = queries.astype(np.float64)
     qn = qn / np.linalg.norm(qn, axis=1, keepdims=True).clip(min=1e-12)
     qd = ((qn[:, None, :] - cent[None, :, :]) ** 2).sum(-1)
@@ -374,6 +391,8 @@ def corpus_topk(
     query_vec_col = query_vec_col or vec_col
     query_id_col = query_id_col or id_col
     cent = train_centroids(corpus, n_clusters, vec_col)
+    if not len(cent):
+        return _empty_topk(id_col)
     cref = ray.put(cent)
     nb = num_buckets or min(len(cent), 64)
 
@@ -394,7 +413,7 @@ def corpus_topk(
     parts = [p for p, n in zip(parts, ray.get(
         [_nrows.remote(p) for p in parts])) if n]
     if not parts:
-        return _rd.from_items([])
+        return _empty_topk(id_col)
     partials = _rd.from_arrow_refs(parts)
 
     def _final(df):
@@ -668,7 +687,13 @@ def knn_classify(
 
     side = _collect_arrow(ds.map_batches(
         lambda t: t.select([id_col, vec_col, label_col]), batch_format="pyarrow"
-    )).sort_by(id_col)
+    ))
+    schema = pa.schema([
+        (id_col, pa.int64()), ("pred_label", pa.int64()), ("n_votes", pa.int64()),
+    ])
+    if not side.num_rows:
+        return ray.data.from_arrow(schema.empty_table())
+    side = side.sort_by(id_col)
     qids = side[id_col].to_numpy().astype(np.int64)
     qx = np.floor(_list_matrix(side[vec_col], vec_col) * float(scale)).astype(np.int64)
     labels = dict(zip(side[id_col].to_pylist(), side[label_col].to_pylist()))
@@ -698,9 +723,7 @@ def knn_classify(
 
     out = grouped_by_bucket(partials, ["query_id"], _vote, num_buckets,
                             batch_format="pandas")
-    return _stable_empty(out, pa.schema([
-        (id_col, pa.int64()), ("pred_label", pa.int64()), ("n_votes", pa.int64()),
-    ]))
+    return _stable_empty(out, schema)
 
 
 def semantic_dedup_pairs(

@@ -21,9 +21,20 @@ finalized sessions equal the batch-mode :func:`~pipeflow_ray.stages.window.
 session_aggregate` on the same rows; late rows are never silently dropped —
 they land in the ``late`` side output (reference has no late-data concept;
 ``drop_late=False`` default per SURVEY §2.10).
+
+Actor lifecycle: every streaming actor class reserves no CPU slot and derives
+from :class:`_Reusable`. Runners get their actors from :func:`_acquire` (an
+idle actor of the class, reset in place with ``reinit``, or a fresh spawn)
+and hand them back with :func:`_release` on normal completion, so a second
+run in the same Ray session starts no actor process. The crash-injection
+path kills its actors; an exception drops the handles and Ray reclaims the
+unreferenced actors, so a half-applied topology is never reused.
 """
 
 from __future__ import annotations
+
+import heapq
+import threading
 
 import numpy as np
 import pandas as pd
@@ -61,15 +72,104 @@ def _session_fragments(df: pd.DataFrame, gap_us: int) -> pd.DataFrame:
     ).reset_index(drop=True)
 
 
-# Streaming-actor CPU reservations are FRACTIONAL by design: replayers are
-# parquet-decode/IO-bound (0.5), bucket-state actors are bursty appliers
-# (0.25), the watermark actor is pure coordination (0). num_cpus is a
-# scheduling reservation, not a cap — full-core reservations make a
-# 25-actor streaming topology wait for a whole node's worth of slots to
-# free (measured: +2-4 s per run queued behind a finishing batch stage's
-# dying worker pool) while the actors would mostly sit in IO or idle.
-@ray.remote(num_cpus=0.25)
-class SessionBucketActor:
+# Streaming actors reserve NO CPU slot (num_cpus=0). num_cpus is a
+# scheduling reservation, not a cap: the actors run all the same, they just
+# never queue for a slot. A reservation would be held by idle cached actors
+# too — with 0.5 per replayer, five idle replayers held 2.5 of a 4-CPU
+# node's slots and the next runner's replayers were never placed. The
+# on-ingest runners' replay *tasks* (``_replay_*_shard``) keep 0.5: they
+# end with their shard group and are where CPU admission still applies.
+# Spawning is the expensive part (≈0.9 s of Python-process start per actor;
+# actors never reuse idle task workers), hence the warm cache below.
+
+_MAX_IDLE_ACTORS = 12  # ≥ 11, the largest pair of topologies run back to back
+# by the stream benchmark; an idle actor process holds ≈190 MB RSS
+_idle: list = []  # (class name, handle) of idle actors, least recently released first
+_idle_node: "str | None" = None  # the Ray node (session) the cached handles belong to
+_idle_lock = threading.Lock()  # runners may be driven from several driver threads
+
+
+class _Reusable:
+    """Base of every streaming actor class: ``reinit`` turns a cached idle
+    actor into the one ``__init__(*args, **kwargs)`` would have built. No
+    actor class keeps mutable class-level state, so instance state is all
+    there is to reset."""
+
+    def reinit(self, *args, **kwargs) -> None:
+        self.__dict__.clear()
+        self.__init__(*args, **kwargs)
+
+
+def _pool() -> list:
+    """The idle cache of the current Ray session; handles cached in an
+    earlier session are dead and are dropped. Call with ``_idle_lock`` held."""
+    global _idle_node
+    if not ray.is_initialized():
+        return []
+    node = ray.get_runtime_context().get_node_id()
+    if node != _idle_node:
+        _idle.clear()
+        _idle_node = node
+    return _idle
+
+
+def _take_idle(name: str):
+    """Remove and return the most recently released idle actor of class
+    *name*, or None."""
+    with _idle_lock:
+        pool = _pool()
+        for i in range(len(pool) - 1, -1, -1):
+            if pool[i][0] == name:
+                return pool.pop(i)[1]
+    return None
+
+
+def _acquire(cls, *args, **kwargs):
+    """An actor of *cls* in the state ``cls.remote(*args, **kwargs)`` would
+    give: an idle cached one, re-initialized, or a fresh spawn. Returns only
+    after the reset is applied: Ray orders calls per caller, so a replayer
+    or replay task handed this actor could otherwise reach it before the
+    driver's ``reinit``. An idle actor that died is dropped."""
+    name = cls.__ray_metadata__.class_name
+    while (actor := _take_idle(name)) is not None:
+        try:
+            ray.get(actor.reinit.remote(*args, **kwargs))
+            return actor
+        except ray.exceptions.RayActorError:
+            pass
+    return cls.remote(*args, **kwargs)
+
+
+def _release(*actors) -> None:
+    """Return a finished topology's actors to the idle cache (normal
+    completion only). Above ``_MAX_IDLE_ACTORS`` the least recently released
+    idle actors are killed."""
+    with _idle_lock:
+        pool = _pool()
+        for a in actors:
+            # a handle cached twice would serve two roles in the next topology
+            if a is not None and all(a != b for _, b in pool):
+                pool.append((a._ray_actor_creation_function_descriptor.class_name, a))
+        evicted = [pool.pop(0)[1] for _ in range(len(pool) - _MAX_IDLE_ACTORS)]
+    _kill_actors(*evicted)
+
+
+def _kill_actors(*actors) -> None:
+    """Kill actors now instead of leaving them to Ray's reference counting.
+    Serves the crash-injection path (a simulated crash must not leave its
+    topology in the cache) and the eviction of idle actors above the cache
+    cap; normal completion calls :func:`_release` instead."""
+    for a in actors:
+        if a is None:
+            continue
+        try:
+            ray.kill(a, no_restart=True)
+        except Exception:  # already dead / not an actor handle — GC's problem
+            pass
+
+
+@ray.remote(num_cpus=0)
+class SessionBucketActor(_Reusable):
     """Owns the open-session state for one hash bucket of conversations.
 
     State: ``conv_id → open fragment (start, end, n_turns, n_chars)``.
@@ -230,28 +330,13 @@ def _collect_late(runner: "_ParallelReplayBase", columns: list[str]) -> pd.DataF
     then release them (the wrapper path defers replayer teardown until the
     late side-output is collected)."""
     parts = [f for f in ray.get([r.late_frames.remote() for r in runner._reps]) if len(f)]
-    _kill_actors(*runner._reps)
+    _release(*runner._reps)
     runner._reps = []
     return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(columns=columns)
 
 
-def _kill_actors(*actors) -> None:
-    """Release streaming-topology CPUs NOW: a finishing actor pool's dying
-    workers hold their (fractional) CPUs for ~3 s after the last call
-    returns (measured r4 — the late-suite streaming tax), queueing the next
-    query's actors. Runners call this at exit instead of waiting for GC
-    (round-4 VERDICT #7)."""
-    for a in actors:
-        if a is None:
-            continue
-        try:
-            ray.kill(a, no_restart=True)
-        except Exception:  # already dead / not an actor handle — GC's problem
-            pass
-
-
-@ray.remote(num_cpus=0.25)
-class TumblingBucketActor:
+@ray.remote(num_cpus=0)
+class TumblingBucketActor(_Reusable):
     """Open tumbling-window state for one hash bucket of keys:
     ``(key, window_start_us) → [count, sum]`` partials. A window is finalized
     (emitted + dropped) once the watermark passes ``window_end`` — classic
@@ -374,7 +459,7 @@ class StreamingSlidingRunner(StreamingTumblingRunner):
 # ---------------------------------------------------------------------------
 
 @ray.remote(num_cpus=0)
-class WatermarkActor:
+class WatermarkActor(_Reusable):
     """Global low-watermark coordinator: each log shard advances its own
     watermark (max event time seen − allowed lateness); the GLOBAL watermark
     is the minimum over all live shards (the classic per-partition watermark
@@ -473,8 +558,8 @@ _MODE_COLUMNS = {
 }
 
 
-@ray.remote(num_cpus=0.5)
-class ShardReplayer:
+@ray.remote(num_cpus=0)
+class ShardReplayer(_Reusable):
     """Owns the sequential replay of ONE log partition (a contiguous group of
     shard files in name order) for any streaming mode. Decodes micro-batches
     IN THE ACTOR (the driver never touches bytes), judges lateness against
@@ -727,11 +812,11 @@ class _ParallelReplayBase:
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
         actors = [self._make_bucket_actor() for _ in range(self.num_buckets)]
-        wm = WatermarkActor.remote(list(range(len(groups))))
+        wm = _acquire(WatermarkActor, list(range(len(groups))))
         reps = [
-            ShardReplayer.remote(i, g, self.mode, self._params(),
-                                 self.lateness_us, micro_batch_rows, wm, actors,
-                                 retain_late=self.retain_late)
+            _acquire(ShardReplayer, i, g, self.mode, self._params(),
+                     self.lateness_us, micro_batch_rows, wm, actors,
+                     retain_late=self.retain_late)
             for i, g in enumerate(groups)
         ]
         self._reps = reps
@@ -750,13 +835,14 @@ class _ParallelReplayBase:
         return actors, results, len(files)
 
     def _teardown(self, actors) -> None:
-        """Called by run() after all final-flush results are in hand: kill
+        """Called by run() after all final-flush results are in hand: release
         the bucket/watermark actors (and the replayers, unless the legacy
-        late-rows side-output still needs them — _collect_late kills those)."""
+        late-rows side-output still needs them — _collect_late releases
+        those)."""
         if not self.retain_late:
-            _kill_actors(*self._reps)
+            _release(*self._reps)
             self._reps = []
-        _kill_actors(self._wm, *actors)
+        _release(self._wm, *actors)
         self._wm = None
 
     @staticmethod
@@ -802,7 +888,7 @@ class ParallelStreamingRunner(_ParallelReplayBase):
         return {"gap_us": self.gap_us}
 
     def _make_bucket_actor(self):
-        return SessionBucketActor.remote(self.gap_s, retain_emissions=True)
+        return _acquire(SessionBucketActor, self.gap_s, retain_emissions=True)
 
     def run(self, parquet_dir: str, micro_batch_rows: int = 65_536):
         actors, results, n_files = self._replay_all(parquet_dir, micro_batch_rows)
@@ -844,7 +930,7 @@ class ParallelTumblingRunner(_ParallelReplayBase):
                 "slide_us": self.slide_us}
 
     def _make_bucket_actor(self):
-        return TumblingBucketActor.remote(self.width_s, retain_emissions=True)
+        return _acquire(TumblingBucketActor, self.width_s, retain_emissions=True)
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         actors, results, n_files = self._replay_all(parquet_path, micro_batch_rows)
@@ -897,7 +983,7 @@ class ParallelJoinRunner(_ParallelReplayBase):
         return {}
 
     def _make_bucket_actor(self):
-        return PairJoinActor.remote(self.eviction_gap_s)
+        return _acquire(PairJoinActor, self.eviction_gap_s)
 
     def _collect(self, actor):
         return actor.drain.remote()
@@ -919,8 +1005,8 @@ class ParallelJoinRunner(_ParallelReplayBase):
         return pairs, metrics
 
 
-@ray.remote(num_cpus=0.25)
-class CepBucketActor:
+@ray.remote(num_cpus=0)
+class CepBucketActor(_Reusable):
     """Partial-match CEP state for one hash bucket of conversations (the
     streaming half of :mod:`pipeflow_ray.stages.cep`).
 
@@ -1068,8 +1154,8 @@ class ParallelCepRunner(_ParallelReplayBase):
                 "ts_col": self.ts_col, "columns": self.columns}
 
     def _make_bucket_actor(self):
-        return CepBucketActor.remote(len(self.steps), self.within_us,
-                                     self.emit, key=self.key, order=self.order)
+        return _acquire(CepBucketActor, len(self.steps), self.within_us,
+                        self.emit, key=self.key, order=self.order)
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         from pipeflow_ray.stages.cep import empty_matches
@@ -1133,8 +1219,8 @@ class CheckpointingSessionRunner(StreamingSessionRunner):
 # matching assistant/tool turns, state held in actor pools)
 # ---------------------------------------------------------------------------
 
-@ray.remote(num_cpus=0.25)
-class PairJoinActor:
+@ray.remote(num_cpus=0)
+class PairJoinActor(_Reusable):
     """Incremental conv_id-keyed hash join state for one bucket.
 
     State: ``(conv_id, turn_idx) → (rc, ts_us, n_chars)`` of still-unmatched
@@ -1366,7 +1452,7 @@ class _ParallelCheckpointMixin:
         n = len(groups)
 
         actors = [self._make_bucket_actor() for _ in range(self.num_buckets)]
-        wm = WatermarkActor.remote(list(range(n)))
+        wm = _acquire(WatermarkActor, list(range(n)))
 
         offsets = [0] * n
         eofs = [False] * n
@@ -1401,9 +1487,9 @@ class _ParallelCheckpointMixin:
                 ])
 
         reps = [
-            ShardReplayer.remote(i, groups[i], self.mode, self._params(),
-                                 self.lateness_us, micro_batch_rows, wm, actors,
-                                 start_offset=offsets[i])
+            _acquire(ShardReplayer, i, groups[i], self.mode, self._params(),
+                     self.lateness_us, micro_batch_rows, wm, actors,
+                     start_offset=offsets[i])
             for i in range(n)
         ]
         run_late = [0] * n  # per-replayer late counters are cumulative per RUN
@@ -1461,7 +1547,7 @@ class _ParallelCheckpointMixin:
             if stop_after_epochs is not None and epochs_this_run >= stop_after_epochs \
                     and not all(eofs):
                 # simulated crash: no drain, no checkpoint (explicit kill ≈
-                # the process dying, and frees the held CPUs immediately)
+                # the process dying; a crashed topology never enters the cache)
                 _kill_actors(*reps, wm, *actors)
                 return None
             # barrier eviction (all replayers quiescent — the only safe point,
@@ -1489,7 +1575,7 @@ class _ParallelCheckpointMixin:
             commit_seq += 1
             _checkpoint(final=True)
         open_state = sum(ray.get([a.state_size.remote() for a in actors]))
-        _kill_actors(*reps, wm, *actors)
+        _release(*reps, wm, *actors)
         return {
             "partitions": commit_seq,
             "late_rows": base_late + sum(run_late),
@@ -1538,8 +1624,8 @@ class ParallelCheckpointingJoinRunner(_ParallelCheckpointMixin, ParallelJoinRunn
                                       checkpoint_every, stop_after_epochs)
 
 
-@ray.remote(num_cpus=0.25)
-class AbsenceBucketActor:
+@ray.remote(num_cpus=0)
+class AbsenceBucketActor(_Reusable):
     """Absence/timeout CEP state for one hash bucket (the streaming form of
     :func:`pipeflow_ray.stages.cep.match_absence` — CEP timers).
 
@@ -1685,8 +1771,8 @@ class ParallelAbsenceRunner(_ParallelReplayBase):
                 "columns": self.columns}
 
     def _make_bucket_actor(self):
-        return AbsenceBucketActor.remote(self.within_us, key=self.key,
-                                         order=self.order)
+        return _acquire(AbsenceBucketActor, self.within_us, key=self.key,
+                        order=self.order)
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         from pipeflow_ray.stages.cep import empty_absence
@@ -1701,8 +1787,8 @@ class ParallelAbsenceRunner(_ParallelReplayBase):
         return timeouts, metrics
 
 
-@ray.remote(num_cpus=0.25)
-class KleeneBucketActor:
+@ray.remote(num_cpus=0)
+class KleeneBucketActor(_Reusable):
     """Streaming Kleene-plus state for one hash bucket (the streaming form
     of :func:`pipeflow_ray.stages.cep.match_kleene`).
 
@@ -2183,10 +2269,10 @@ class ParallelKleeneRunner(_ParallelReplayBase):
                 "columns": self.columns, "derive": self.derive}
 
     def _make_bucket_actor(self):
-        return KleeneBucketActor.remote(self.n_pre, self.n_post, self.within_us,
-                                        key=self.key, order=self.order,
-                                        seal_gap_us=self.seal_gap_us,
-                                        stitch=self.stitch, emit=self.emit)
+        return _acquire(KleeneBucketActor, self.n_pre, self.n_post, self.within_us,
+                        key=self.key, order=self.order,
+                        seal_gap_us=self.seal_gap_us,
+                        stitch=self.stitch, emit=self.emit)
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         from pipeflow_ray.stages.cep import empty_kleene
@@ -2270,8 +2356,8 @@ class ParallelCheckpointingKleeneRunner(_ParallelCheckpointMixin, ParallelKleene
                                       checkpoint_every, stop_after_epochs)
 
 
-@ray.remote(num_cpus=0.25)
-class QuantileBucketActor:
+@ray.remote(num_cpus=0)
+class QuantileBucketActor(_Reusable):
     """Value-histogram state for one hash bucket of keys: ``(key, value) →
     count``. State is O(keys × distinct values) ints — EXACT quantiles at
     any flush for bounded-cardinality value domains, in one pass (the
@@ -2368,7 +2454,7 @@ class StreamingQuantileRunner:
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
-        actors = [QuantileBucketActor.remote() for _ in range(self.num_buckets)]
+        actors = [_acquire(QuantileBucketActor) for _ in range(self.num_buckets)]
         fn_ref = ray.put(self.value_fn) if self.value_fn is not None else None
         rows = ray.get([
             _replay_quantile_shard.remote(g, self.key_col, fn_ref,
@@ -2379,7 +2465,7 @@ class StreamingQuantileRunner:
         parts = [f for f in ray.get([
             a.flush_quantiles.remote(self.qs, out_names) for a in actors
         ]) if len(f)]
-        _kill_actors(*actors)
+        _release(*actors)
         if parts:
             result = pd.concat(parts, ignore_index=True) \
                 .rename(columns={"key": self.key_col})
@@ -2391,8 +2477,8 @@ class StreamingQuantileRunner:
         return result, metrics
 
 
-@ray.remote(num_cpus=0.25)
-class SketchQuantileBucketActor:
+@ray.remote(num_cpus=0)
+class SketchQuantileBucketActor(_Reusable):
     """KLL-sketch state for one hash bucket of keys: ``key → KLLSketch``.
     Commutative merge (any shard interleaving), state O(keys · k · log(n/k))
     floats REGARDLESS of the value domain — the unbounded-continuous-domain
@@ -2492,7 +2578,7 @@ class StreamingSketchQuantileRunner:
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
-        actors = [SketchQuantileBucketActor.remote(self.k)
+        actors = [_acquire(SketchQuantileBucketActor, self.k)
                   for _ in range(self.num_buckets)]
         fn_ref = ray.put(self.value_fn) if self.value_fn is not None else None
         rows = ray.get([
@@ -2506,7 +2592,7 @@ class StreamingSketchQuantileRunner:
             a.flush_quantiles.remote(self.qs, out_names) for a in actors
         ]) if len(f)]
         state = int(sum(ray.get([a.state_size.remote() for a in actors])))
-        _kill_actors(*actors)
+        _release(*actors)
         if parts:
             result = pd.concat(parts, ignore_index=True) \
                 .rename(columns={"key": self.key_col})
@@ -2519,8 +2605,8 @@ class StreamingSketchQuantileRunner:
         return result, metrics
 
 
-@ray.remote(num_cpus=0.25)
-class VocabBucketActor:
+@ray.remote(num_cpus=0)
+class VocabBucketActor(_Reusable):
     """Vocabulary state for one hash bucket of tokens: per-token document
     frequency and total term frequency. Commutative merge; state is
     O(vocabulary) — the vocabulary-build sibling of dedup-on-ingest.
@@ -2611,14 +2697,14 @@ class StreamingVocabRunner:
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
-        actors = [VocabBucketActor.remote() for _ in range(self.num_buckets)]
+        actors = [_acquire(VocabBucketActor) for _ in range(self.num_buckets)]
         rows = ray.get([
             _replay_vocab_shard.remote(g, self.text_col, self.id_col,
                                        micro_batch_rows, *actors)
             for g in groups
         ])
         parts = [f for f in ray.get([a.flush.remote() for a in actors]) if len(f)]
-        _kill_actors(*actors)
+        _release(*actors)
         vocab = (pd.concat(parts, ignore_index=True) if parts
                  else pd.DataFrame({"token": pd.Series(dtype=object),
                                     "df": pd.Series(dtype=np.int64),
@@ -2634,8 +2720,8 @@ class StreamingVocabRunner:
 # ---------------------------------------------------------------------------
 
 
-@ray.remote(num_cpus=0.25)
-class DedupBucketActor:
+@ray.remote(num_cpus=0)
+class DedupBucketActor(_Reusable):
     """Seen-fingerprint state for one hash bucket: fingerprint → min doc id.
     State is O(distinct fingerprints in the bucket) int64 pairs — the content
     itself is never held, which is what makes dedup-on-ingest feasible at
@@ -2720,13 +2806,13 @@ class StreamingDedupRunner:
             id_col: str = "doc_id", micro_batch_rows: int = 65_536):
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
-        actors = [DedupBucketActor.remote() for _ in range(self.num_buckets)]
+        actors = [_acquire(DedupBucketActor) for _ in range(self.num_buckets)]
         rows = ray.get([
             _replay_dedup_shard.remote(g, text_col, id_col, micro_batch_rows, *actors)
             for g in groups
         ])
         parts = [f for f in ray.get([a.flush.remote() for a in actors]) if len(f)]
-        _kill_actors(*actors)
+        _release(*actors)
         kept = (pd.concat(parts, ignore_index=True) if parts
                 else pd.DataFrame({"fingerprint": pd.Series(dtype=np.int64),
                                    "doc_id": pd.Series(dtype=np.int64)}))
@@ -2742,8 +2828,8 @@ class StreamingDedupRunner:
 # ---------------------------------------------------------------------------
 
 
-@ray.remote(num_cpus=0.25)
-class HLLBucketActor:
+@ray.remote(num_cpus=0)
+class HLLBucketActor(_Reusable):
     """Per-key HyperLogLog register state for one hash bucket of keys.
     Merge is element-wise max — associative/commutative, so shard
     interleaving yields BIT-IDENTICAL registers to a single sequential pass
@@ -2851,7 +2937,7 @@ class StreamingHLLRunner:
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
-        actors = [HLLBucketActor.remote(self.p) for _ in range(self.num_buckets)]
+        actors = [_acquire(HLLBucketActor, self.p) for _ in range(self.num_buckets)]
         rows = ray.get([
             _replay_hll_shard.remote(g, self.key_col, self.value_col, self.p,
                                      micro_batch_rows, *actors)
@@ -2859,7 +2945,7 @@ class StreamingHLLRunner:
         ])
         parts = [f for f in ray.get([a.flush.remote() for a in actors]) if len(f)]
         state = int(sum(ray.get([a.state_size.remote() for a in actors])))
-        _kill_actors(*actors)
+        _release(*actors)
         if parts:
             result = pd.concat(parts, ignore_index=True) \
                 .rename(columns={"key": self.key_col})
@@ -2880,8 +2966,8 @@ class StreamingHLLRunner:
 # ---------------------------------------------------------------------------
 
 
-@ray.remote(num_cpus=0.25)
-class TopKBucketActor:
+@ray.remote(num_cpus=0)
+class TopKBucketActor(_Reusable):
     """Space-saving summary (Metwally et al., mergeable batched variant) for
     one hash bucket of keys. Holds at most *m* (key → [count_upper, err])
     entries; a batch partial (key, cnt) either adds to an existing entry,
@@ -2896,20 +2982,36 @@ class TopKBucketActor:
         self.m = m
         self.state: dict = {}  # key -> [count_upper, err]
         self.rows = 0
+        # lazy min-heap of (count_upper, insertion seq, key), one entry per
+        # retained key. Counts only grow, so an entry's count is a lower
+        # bound; a stale top entry is pushed back with the current count
+        # before the minimum is trusted. The seq tie-break evicts the first
+        # minimal key in dict insertion order, exactly the key
+        # ``min(state, key=count_upper)`` picks.
+        self.heap: list = []
+        self.seq = 0
 
     def process(self, keys: list, counts: np.ndarray) -> None:
-        state, m = self.state, self.m
+        state, m, heap, seq = self.state, self.m, self.heap, self.seq
         self.rows += int(counts.sum())
         for k, c in zip(keys, counts.tolist()):
             cur = state.get(k)
             if cur is not None:
-                cur[0] += int(c)
+                cur[0] += c
             elif len(state) < m:
-                state[k] = [int(c), 0]
+                state[k] = [c, 0]
+                heapq.heappush(heap, (c, seq, k))
+                seq += 1
             else:
-                mn_k = min(state, key=lambda q: state[q][0])
-                mn = state.pop(mn_k)[0]
-                state[k] = [mn + int(c), mn]
+                mn, mn_seq, mn_k = heap[0]
+                while state[mn_k][0] != mn:
+                    heapq.heapreplace(heap, (state[mn_k][0], mn_seq, mn_k))
+                    mn, mn_seq, mn_k = heap[0]
+                del state[mn_k]
+                state[k] = [mn + c, mn]
+                heapq.heapreplace(heap, (mn + c, seq, k))
+                seq += 1
+        self.seq = seq
 
     def flush(self) -> pd.DataFrame:
         ks = list(self.state.keys())
@@ -2972,7 +3074,7 @@ class StreamingTopKRunner:
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
-        actors = [TopKBucketActor.remote(self.m)
+        actors = [_acquire(TopKBucketActor, self.m)
                   for _ in range(self.num_buckets)]
         rows = ray.get([
             _replay_topk_shard.remote(g, self.key_col, micro_batch_rows,
@@ -2981,7 +3083,7 @@ class StreamingTopKRunner:
         ])
         parts = [f for f in ray.get([a.flush.remote() for a in actors])
                  if len(f)]
-        _kill_actors(*actors)
+        _release(*actors)
         if parts:
             result = pd.concat(parts, ignore_index=True) \
                 .rename(columns={"key": self.key_col}) \
@@ -3013,8 +3115,8 @@ class StreamingTopKRunner:
 _MASK64 = (1 << 64) - 1
 
 
-@ray.remote(num_cpus=0.25)
-class ConvSigBucketActor:
+@ray.remote(num_cpus=0)
+class ConvSigBucketActor(_Reusable):
     """Per-conversation accumulating signature state for one key bucket."""
 
     def __init__(self):
@@ -3114,7 +3216,7 @@ class StreamingConvDedupRunner:
 
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
-        actors = [ConvSigBucketActor.remote() for _ in range(self.num_buckets)]
+        actors = [_acquire(ConvSigBucketActor) for _ in range(self.num_buckets)]
         rows = ray.get([
             _replay_conv_shard.remote(g, key_col, order_col, self.sig_cols,
                                       micro_batch_rows, *actors)
@@ -3122,7 +3224,7 @@ class StreamingConvDedupRunner:
         ])
         refs = [a.flush.remote() for a in actors]
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
-        _kill_actors(*actors)
+        _release(*actors)
         sigs = _rd.from_pandas_refs(refs)
 
         def _canon(df: pd.DataFrame) -> pd.DataFrame:

@@ -580,3 +580,182 @@ def test_streaming_conv_dedup_equals_batch_across_shards(tmp_path):
         pd.testing.assert_frame_equal(got, batch)
         assert metrics["rows"] == len(rows)
     assert batch.is_dup.sum() >= 20  # dup groups exist (5 of each template)
+
+
+# ---------------------------------------------------------------------------
+# Warm actor cache: a run hands its actors back on normal completion, and
+# the next run in the session resets them with ``reinit`` instead of
+# spawning fresh processes.
+# ---------------------------------------------------------------------------
+
+
+def _cold_cache() -> None:
+    """Kill every idle cached actor: the next run spawns its topology."""
+    from pipeflow_ray.pipelines import streaming
+
+    streaming._kill_actors(*(a for _, a in streaming._idle))
+    streaming._idle.clear()
+
+
+def _idle_actors() -> list:
+    """Cached idle actors, least recently released first."""
+    from pipeflow_ray.pipelines import streaming
+
+    return [a for _, a in streaming._idle]
+
+
+def _turns_file(tmp_path, name: str, turns: int, seed: int) -> str:
+    from pipeflow_ray.fixtures import gen_transcripts
+
+    path = str(tmp_path / f"{name}.parquet")
+    pq.write_table(gen_transcripts(turns, seed=seed), path, row_group_size=256)
+    return path
+
+
+def _sessions_then_topk(path: str, out_dir: str, gap_s: float, m: int):
+    """The stream benchmark's shape: a checkpointing session run, then a
+    top-k run on the same input."""
+    from pipeflow_ray.pipelines.streaming import (
+        ParallelCheckpointingSessionRunner,
+        StreamingTopKRunner,
+    )
+    from pipeflow_ray.state.manifest import read_committed
+
+    record = ParallelCheckpointingSessionRunner(
+        gap_s=gap_s, lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1,
+    ).run(path, out_dir, micro_batch_rows=128, checkpoint_every=2)
+    sessions = (read_committed(out_dir).to_pandas()
+                .sort_values(["conv_id", "start_us"], ignore_index=True))
+    top, _m = StreamingTopKRunner("conv_id", m=m, num_buckets=4,
+                                  max_replayers=1).run(path, micro_batch_rows=128)
+    return record, sessions, top
+
+
+def _assert_same_run(got, ref) -> None:
+    assert got[0] == ref[0]
+    pd.testing.assert_frame_equal(got[1], ref[1])
+    pd.testing.assert_frame_equal(got[2], ref[2])
+
+
+def test_warm_rerun_spawns_no_actor_and_equals_cold_run(tmp_path):
+    """The second run, on another input with another gap and m, takes every
+    actor from the cache, and its output equals the same run made cold."""
+    a = _turns_file(tmp_path, "a", 1000, seed=1)
+    b = _turns_file(tmp_path, "b", 700, seed=2)
+    _cold_cache()
+    _sessions_then_topk(a, str(tmp_path / "a"), gap_s=1800.0, m=16)
+    warm = set(_idle_actors())
+    assert len(warm) == 4 + 1 + 1 + 4  # session buckets, watermark, replayer, top-k
+    got = _sessions_then_topk(b, str(tmp_path / "b_warm"), gap_s=600.0, m=4)
+    assert set(_idle_actors()) == warm  # no actor was spawned
+    _cold_cache()
+    ref = _sessions_then_topk(b, str(tmp_path / "b_cold"), gap_s=600.0, m=4)
+    _assert_same_run(got, ref)
+    assert got[0]["partitions"] >= 3 and len(got[2]) == 4 * 4  # evictions ran
+
+
+def _kill_and_wait(actor) -> None:
+    ray.kill(actor, no_restart=True)
+    while True:  # a call made before the kill lands could still be served
+        try:
+            ray.get(actor.__ray_ready__.remote(), timeout=30)
+        except ray.exceptions.RayActorError:
+            return
+
+
+def test_actor_killed_while_idle_is_replaced(tmp_path):
+    a = _turns_file(tmp_path, "a", 1000, seed=3)
+    _cold_cache()
+    ref = _sessions_then_topk(a, str(tmp_path / "ref"), gap_s=1800.0, m=8)
+    victims = _idle_actors()[::2]
+    for actor in victims:
+        _kill_and_wait(actor)
+    got = _sessions_then_topk(a, str(tmp_path / "got"), gap_s=1800.0, m=8)
+    _assert_same_run(got, ref)
+    idle = set(_idle_actors())
+    assert len(idle) == 10 and not idle & set(victims)
+
+
+def test_crashed_run_leaves_cache_empty_and_resumes_exactly(tmp_path):
+    """A simulated crash kills its (warm) topology instead of caching it;
+    the resume equals the uninterrupted run."""
+    from pipeflow_ray.pipelines.streaming import ParallelCheckpointingSessionRunner
+    from pipeflow_ray.state.manifest import read_committed
+
+    a = _turns_file(tmp_path, "a", 1000, seed=4)
+    kw = dict(micro_batch_rows=128, checkpoint_every=1)
+
+    def runner():
+        return ParallelCheckpointingSessionRunner(
+            gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1)
+
+    def committed(out_dir):
+        return (read_committed(out_dir).to_pandas()
+                .sort_values(["conv_id", "start_us"], ignore_index=True))
+
+    _cold_cache()
+    full = runner().run(a, str(tmp_path / "full"), **kw)
+    assert len(_idle_actors()) == 4 + 1 + 1
+    crash_dir = str(tmp_path / "crash")
+    assert runner().run(a, crash_dir, stop_after_epochs=2, **kw) is None
+    assert _idle_actors() == []
+    resumed = runner().run(a, crash_dir, **kw)
+    assert resumed["partitions"] == full["partitions"]
+    pd.testing.assert_frame_equal(committed(crash_dir), committed(str(tmp_path / "full")))
+
+
+def test_streaming_import_does_not_load_ray_data():
+    """Actor processes load the streaming module; ray.data must stay out."""
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, pipeflow_ray.pipelines.streaming; "
+            "assert 'ray.data' not in sys.modules, 'ray.data was imported'")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def _topk_min_scan(batches, m: int) -> pd.DataFrame:
+    """Space-saving as TopKBucketActor.process computed it before the heap:
+    a full scan for the minimum on every eviction."""
+    state: dict = {}
+    rows = 0
+    for keys, counts in batches:
+        rows += int(counts.sum())
+        for k, c in zip(keys, counts.tolist()):
+            cur = state.get(k)
+            if cur is not None:
+                cur[0] += int(c)
+            elif len(state) < m:
+                state[k] = [int(c), 0]
+            else:
+                mn_k = min(state, key=lambda q: state[q][0])
+                mn = state.pop(mn_k)[0]
+                state[k] = [mn + int(c), mn]
+    arr = np.array(list(state.values()), np.int64).reshape(-1, 2)
+    return pd.DataFrame({"key": list(state), "est": arr[:, 0], "err": arr[:, 1],
+                         "bucket_rows": np.full(len(state), rows, np.int64)})
+
+
+def test_topk_heap_eviction_equals_min_scan():
+    """Random batches with many count ties: the heap evicts the same key as
+    the min scan every time, so state, counts, errors and order agree."""
+    from pipeflow_ray.pipelines.streaming import TopKBucketActor
+
+    rng = np.random.default_rng(11)
+    actor = TopKBucketActor.remote(1)
+    try:
+        for m in (1, 3, 17):
+            batches = []
+            for _ in range(60):
+                n = int(rng.integers(1, 40))
+                keys = [f"k{int(x)}" for x in rng.choice(90, size=n, replace=False)]
+                batches.append((keys, rng.integers(1, 4, size=n)))
+            ray.get(actor.reinit.remote(m))
+            for keys, counts in batches:
+                actor.process.remote(keys, counts)
+            got = ray.get(actor.flush.remote())
+            pd.testing.assert_frame_equal(got, _topk_min_scan(batches, m))
+    finally:
+        ray.kill(actor)

@@ -1,5 +1,6 @@
 """Zero-copy vector prep (``similarity._list_matrix``), the blocked
-embedding near-dup verify, and empty-input schemas of the retrieval ops."""
+embedding near-dup verify, and empty-input schemas of the retrieval and
+vector-search ops."""
 
 from __future__ import annotations
 
@@ -10,7 +11,13 @@ import pytest
 import ray.data
 
 from pipeflow_ray.functions.dedup import _sig_column, embedding_neardup_pairs
-from pipeflow_ray.functions.similarity import _list_matrix
+from pipeflow_ray.functions.similarity import (
+    _list_matrix,
+    brute_force_topk,
+    corpus_topk,
+    ivf_topk,
+    knn_classify,
+)
 
 
 def _rows(x: np.ndarray, typ=pa.float32()) -> pa.ListArray:
@@ -198,3 +205,31 @@ def test_bm25_topk_empty_corpus_and_no_match():
         sch = got.schema()
         assert dict(zip(sch.names, sch.types)) == expect
         assert got.count() == 0
+
+
+
+_TOPK = {"query_id": pa.int64(), "vec_id": pa.int64(), "cosine": pa.float64(),
+         "rank": pa.int64()}
+
+
+def _corpus_topk(ds, q):
+    queries = pa.table({"vec_id": pa.array([7, 8], pa.int64()),
+                        "embedding": _rows(q.astype(np.float32))})
+    return corpus_topk(ds, ray.data.from_arrow(queries), k=3, n_clusters=2, nprobe=2)
+
+
+@pytest.mark.parametrize("op, expect", [
+    (lambda ds, q: brute_force_topk(ds, q, k=3), _TOPK),
+    (lambda ds, q: ivf_topk(ds, q, k=3, n_clusters=2, nprobe=2), _TOPK),
+    (_corpus_topk, _TOPK),
+    (lambda ds, q: knn_classify(ds, k=3),
+     {"vec_id": pa.int64(), "pred_label": pa.int64(), "n_votes": pa.int64()}),
+], ids=["brute_force_topk", "ivf_topk", "corpus_topk", "knn_classify"])
+def test_vector_search_empty_corpus_schema(op, expect):
+    corpus = pa.table({"vec_id": pa.array([], pa.int64()),
+                       "embedding": pa.array([], pa.list_(pa.float32())),
+                       "label": pa.array([], pa.int64())})
+    got = op(ray.data.from_arrow(corpus), np.eye(2, 4))
+    sch = got.schema()
+    assert dict(zip(sch.names, sch.types)) == expect
+    assert got.count() == 0
