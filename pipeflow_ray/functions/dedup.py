@@ -754,7 +754,13 @@ def embedding_neardup_pairs(
     ~(1−arccos(0.95)/π)^12 ≈ 37% probability; six independent tables push the
     miss rate below 7% and exact duplicates always collide — ADVICE r1),
     then an exact in-bucket cosine verify. Precision is exact (every emitted
-    pair is verified); recall is the OR-amplified LSH probability."""
+    pair is verified); recall is the OR-amplified LSH probability.
+
+    Two keyed exchanges: (table, bucket) for the verify, then (id_a, id_b)
+    to drop pairs found in several tables. Both outputs are only merged, so
+    each is sized by :func:`~pipeflow_ray.stages.core.merge_buckets` from
+    its materialized input (2 × session CPUs unless the input outgrows Ray
+    Data's block target), not by the 64-bucket default."""
 
     def _bucket(t: pa.Table) -> pa.Table:
         """Emit one row per (vector, table): bucket = signbits of the
@@ -783,7 +789,7 @@ def embedding_neardup_pairs(
             )
         return pa.concat_tables(parts)
 
-    bucketed = ds.map_batches(_bucket, batch_format="pyarrow")
+    bucketed = ds.map_batches(_bucket, batch_format="pyarrow").materialize()
 
     def _super_bucket_pairs(t: pa.Table) -> pa.Table:
         """One call per hash super-bucket. Rows are unit-normalized once;
@@ -819,15 +825,16 @@ def embedding_neardup_pairs(
                          "id_b": pa.array(np.concatenate(out_b)),
                          "cosine": pa.array(np.concatenate(out_c), pa.float64())})
 
-    from pipeflow_ray.stages.core import grouped_by_bucket
+    from pipeflow_ray.stages.core import grouped_by_bucket, merge_buckets
 
     pairs = grouped_by_bucket(bucketed, ["table", "bucket"], _super_bucket_pairs,
-                              batch_format="pyarrow")
+                              merge_buckets(bucketed), batch_format="pyarrow")
     # a pair found in several tables appears once: distinct on (id_a, id_b)
     out = grouped_by_bucket(
         pairs,
         ["id_a", "id_b"],
         lambda df: df.drop_duplicates(["id_a", "id_b"]),
+        merge_buckets(pairs),
         batch_format="pandas",
     )
     return _stable_empty(out, _EMPTY_COSINE)

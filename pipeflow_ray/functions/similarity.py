@@ -380,13 +380,16 @@ def corpus_topk(
 
     Output: ``(query_id, <id_col>, cosine, rank)``, rank 1..k per query,
     ties broken by id ascending. Both sides exchange on ``hash(cell)`` with
-    the same bucket count, so they co-partition; the per-query merge is a
-    second keyed exchange over ≤ Q × nprobe × k partial rows. The driver
-    holds only centroids (trained on a bounded sample) — never vectors or
-    results."""
+    one bucket count, so they co-partition; the per-query merge is a second
+    keyed exchange over ≤ Q × nprobe × k partial rows and reuses that count.
+    The count is *num_buckets* when given, else ``min(n_clusters,``
+    :func:`~pipeflow_ray.stages.core.merge_buckets` ``)`` over both
+    materialized sides: neither exchange's output is kept as a partitioning.
+    The driver holds only centroids (trained on a bounded sample) — never
+    vectors or results."""
     import ray.data as _rd
 
-    from pipeflow_ray.stages.core import grouped_by_bucket, hash_exchange
+    from pipeflow_ray.stages.core import grouped_by_bucket, hash_exchange, merge_buckets
 
     query_vec_col = query_vec_col or vec_col
     query_id_col = query_id_col or id_col
@@ -394,15 +397,15 @@ def corpus_topk(
     if not len(cent):
         return _empty_topk(id_col)
     cref = ray.put(cent)
-    nb = num_buckets or min(len(cent), 64)
 
     c_prep = corpus.map_batches(
         _corpus_cell_prep, fn_kwargs=dict(cref=cref, vec_col=vec_col, id_col=id_col),
-        batch_format="pyarrow")
+        batch_format="pyarrow").materialize()
     q_prep = queries.map_batches(
         _query_cell_prep, fn_kwargs=dict(cref=cref, nprobe=nprobe,
                                          vec_col=query_vec_col, id_col=query_id_col),
-        batch_format="pyarrow")
+        batch_format="pyarrow").materialize()
+    nb = num_buckets or min(len(cent), merge_buckets(c_prep, q_prep))
     c_buckets = hash_exchange(c_prep, ["__cell"], nb)
     q_buckets = hash_exchange(q_prep, ["__cell"], nb)
     parts = []
@@ -423,7 +426,7 @@ def corpus_topk(
         out["rank"] = (out.groupby("query_id").cumcount() + 1).astype(np.int64)
         return out.rename(columns={"__id": id_col})
 
-    return grouped_by_bucket(partials, ["query_id"], _final, batch_format="pandas")
+    return grouped_by_bucket(partials, ["query_id"], _final, nb, batch_format="pandas")
 
 
 @ray.remote
@@ -522,6 +525,10 @@ def kmeans_assignments(
     from pipeflow_ray.stages.window import partial_aggregate
 
     ds, cent = _kmeans_train(ds, k, iters, scale, vec_col, id_col, init, cache)
+    if cent is None:
+        return ray.data.from_arrow(pa.schema([
+            (id_col, pa.int64()), ("cluster", pa.int64()), ("dist2", pa.int64()),
+        ]).empty_table())
     cref = ray.put(cent)
     return ds.map_batches(
         _kmeans_assign,
@@ -531,20 +538,25 @@ def kmeans_assignments(
 
 def _kmeans_train(ds, k, iters, scale, vec_col, id_col, init, cache):
     """Run the Lloyd iterations; return (possibly-materialized ds, final
-    int64 centroid matrix)."""
+    int64 centroid matrix), or (ds, None) when *init* is not given and the
+    corpus has no rows."""
     from pipeflow_ray.stages.window import partial_aggregate
 
+    if cache:
+        ds = ds.materialize()
     if init is None:
         def _seed_rows(t: pa.Table) -> pa.Table:
             import pyarrow.compute as _pc
             return t.filter(_pc.less(t[id_col], k))
 
         seeds = _collect_arrow(ds.map_batches(_seed_rows, batch_format="pyarrow"))
+        if not seeds.num_rows:
+            if ds.count():
+                raise ValueError(f"no seed rows with {id_col} < {k}; pass init=")
+            return ds, None
         init = _list_matrix(seeds.sort_by(id_col)[vec_col], vec_col)
     cent = np.floor(init.astype(np.float64) * float(scale)).astype(np.int64)
 
-    if cache:
-        ds = ds.materialize()
     for _ in range(iters):
         cref = ray.put(cent)
         partials = ds.map_batches(
@@ -745,13 +757,14 @@ def semantic_dedup_pairs(
     from pipeflow_ray.functions.dedup import _stable_empty
     from pipeflow_ray.stages.core import grouped_by_bucket
 
+    schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()), ("dist2", pa.int64())])
     ds, cent = _kmeans_train(ds, k, iters, scale, vec_col, id_col, init, True)
+    if cent is None:
+        return ray.data.from_arrow(schema.empty_table())
     cref = ray.put(cent)
     prep = ds.map_batches(
         _sem_prep, fn_kwargs=dict(cref=cref, scale=scale, vec_col=vec_col, id_col=id_col),
         batch_format="pyarrow")
     out = grouped_by_bucket(prep, ["__cluster"], _sem_pairs(tau2, scale),
                             num_buckets, batch_format="pyarrow")
-    return _stable_empty(out, pa.schema([("id_a", pa.int64()),
-                                         ("id_b", pa.int64()),
-                                         ("dist2", pa.int64())]))
+    return _stable_empty(out, schema)

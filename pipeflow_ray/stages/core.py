@@ -103,13 +103,41 @@ def default_buckets() -> int:
     parallelism levels (the scaling bench compares 2- vs 8-cpu sessions on the
     same 64-bucket plan); on a real 256-node cluster (1000s of cores) the
     2×-cores term takes over so reduce tasks keep all workers busy."""
+    return max(DEFAULT_BUCKETS, 2 * _session_cpus())
+
+
+def _session_cpus() -> int:
     try:
         if ray.is_initialized():
-            cpus = int(ray.cluster_resources().get("CPU", 0))
-            return max(DEFAULT_BUCKETS, 2 * cpus)
+            return int(ray.cluster_resources().get("CPU", 0))
     except Exception:  # pragma: no cover - resource query race at shutdown
         pass
-    return DEFAULT_BUCKETS
+    return 0
+
+
+def merge_buckets(*datasets) -> int:
+    """Bucket count for a keyed exchange whose output is only merged, never
+    kept as a partitioning: ``max(2 × session CPUs, ⌈input bytes /
+    DataContext.target_max_block_size⌉)``.
+
+    Every bucket costs fixed work whatever its size (split slices, a reduce
+    task, a row count, block metadata): about 5 ms per bucket per exchange
+    at 4 slots, so :func:`default_buckets`' floor of 64 dominates small
+    inputs. 2 × CPUs keeps every worker busy; the byte term keeps each
+    reduce input at Ray Data's own block target on large inputs. The
+    *datasets* must be materialized: their sizes come from block metadata,
+    nothing is fetched or executed."""
+    from ray.data import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    for ds in datasets:
+        if not isinstance(ds, MaterializedDataset):
+            raise TypeError("merge_buckets sizes materialized datasets only; "
+                            f"got {type(ds).__name__}")
+    nbytes = sum(ds.size_bytes() or 0 for ds in datasets)
+    target = DataContext.get_current().target_max_block_size
+    by_bytes = -(-nbytes // target) if target else 0
+    return max(1, 2 * _session_cpus(), by_bytes)
 
 
 def add_bucket_column(key_cols: list[str], num_buckets: int = DEFAULT_BUCKETS, out: str = "__bucket"):

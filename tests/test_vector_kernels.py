@@ -1,6 +1,7 @@
 """Zero-copy vector prep (``similarity._list_matrix``), the blocked
-embedding near-dup verify, and empty-input schemas of the retrieval and
-vector-search ops."""
+embedding near-dup verify, the merge-only exchange sizing
+(``stages.core.merge_buckets``), and empty-input schemas of the retrieval
+and vector-search ops."""
 
 from __future__ import annotations
 
@@ -16,8 +17,11 @@ from pipeflow_ray.functions.similarity import (
     brute_force_topk,
     corpus_topk,
     ivf_topk,
+    kmeans_assignments,
     knn_classify,
+    semantic_dedup_pairs,
 )
+from pipeflow_ray.stages import core
 
 
 def _rows(x: np.ndarray, typ=pa.float32()) -> pa.ListArray:
@@ -233,3 +237,108 @@ def test_vector_search_empty_corpus_schema(op, expect):
     sch = got.schema()
     assert dict(zip(sch.names, sch.types)) == expect
     assert got.count() == 0
+
+
+@pytest.mark.parametrize("op, expect", [
+    (lambda ds: kmeans_assignments(ds, k=2),
+     {"vec_id": pa.int64(), "cluster": pa.int64(), "dist2": pa.int64()}),
+    (lambda ds: semantic_dedup_pairs(ds, k=2),
+     {"id_a": pa.int64(), "id_b": pa.int64(), "dist2": pa.int64()}),
+], ids=["kmeans_assignments", "semantic_dedup_pairs"])
+def test_kmeans_empty_corpus_schema(op, expect):
+    corpus = pa.table({"vec_id": pa.array([], pa.int64()),
+                       "embedding": pa.array([], pa.list_(pa.float32()))})
+    got = op(ray.data.from_arrow(corpus))
+    sch = got.schema()
+    assert dict(zip(sch.names, sch.types)) == expect
+    assert got.count() == 0
+    # rows but no default seed (every id ≥ k) is a caller error, not an empty result
+    far = pa.table({"vec_id": pa.array([10, 11], pa.int64()),
+                    "embedding": _rows(np.eye(2, 4, dtype=np.float32))})
+    with pytest.raises(ValueError, match="seed rows"):
+        op(ray.data.from_arrow(far))
+
+
+def _session_cpus() -> int:
+    return int(ray.cluster_resources()["CPU"])
+
+
+def test_merge_buckets_floor_and_byte_term():
+    from ray.data import DataContext
+
+    floor = 2 * _session_cpus()
+    empty = ray.data.from_arrow(pa.table({"x": pa.array([], pa.int64())})).materialize()
+    assert core.merge_buckets(empty) == floor
+    ds = ray.data.from_arrow(pa.table({"x": np.arange(100_000, dtype=np.int64)})).materialize()
+    nbytes = ds.size_bytes()
+    assert core.merge_buckets(ds) == floor  # 800 kB is far below the 128 MiB block target
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    try:
+        ctx.target_max_block_size = nbytes // 50
+        got = core.merge_buckets(ds)
+        assert got == -(-nbytes // (nbytes // 50)) and got > floor
+        assert core.merge_buckets(ds, ds) >= 2 * got - 1  # sizes add across inputs
+    finally:
+        ctx.target_max_block_size = old
+    with pytest.raises(TypeError, match="materialized"):
+        core.merge_buckets(ray.data.range(10))
+
+
+def _planted_corpus(n=1_500, dim=16, n_dup=30, seed=3):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, dim)).astype(np.float32)
+    src = rng.choice(n, size=2 * n_dup, replace=False)
+    x[src[n_dup:]] = x[src[:n_dup]] + (1e-3 * rng.standard_normal((n_dup, dim))).astype(np.float32)
+    ids = rng.permutation(n).astype(np.int64) * 3 + 1
+    return pa.table({"vec_id": pa.array(ids), "embedding": _rows(x)})
+
+
+def _merge_only_results(t, cq):
+    pairs = embedding_neardup_pairs(ray.data.from_arrow(t).repartition(4),
+                                    threshold=0.97).to_pandas()
+    top = corpus_topk(ray.data.from_arrow(t).repartition(4), ray.data.from_arrow(cq),
+                      k=5, n_clusters=4, nprobe=4, exclude_self=True).to_pandas()
+    return (pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True),
+            top.sort_values(["query_id", "rank"]).reset_index(drop=True))
+
+
+def test_merge_only_stages_invariant_to_bucket_count(monkeypatch):
+    t = _planted_corpus()
+    cq = t.take(np.arange(0, t.num_rows, 37))
+    ref_pairs, ref_top = _merge_only_results(t, cq)
+    assert len(ref_pairs) >= 30 and len(ref_top) == 5 * cq.num_rows
+    for nb in (1, 3, 64):
+        monkeypatch.setattr(core, "merge_buckets", lambda *ds, nb=nb: nb)
+        pairs, top = _merge_only_results(t, cq)
+        assert pairs[["id_a", "id_b"]].equals(ref_pairs[["id_a", "id_b"]]), nb
+        np.testing.assert_allclose(pairs.cosine, ref_pairs.cosine, rtol=0, atol=1e-12)
+        assert top[["query_id", "vec_id", "rank"]].equals(
+            ref_top[["query_id", "vec_id", "rank"]]), nb
+        np.testing.assert_allclose(top.cosine, ref_top.cosine, rtol=0, atol=1e-12)
+
+
+def test_corpus_topk_bucket_count(monkeypatch):
+    """Both cell exchanges and the query merge use one count: the explicit
+    *num_buckets*, else min(n_clusters, merge_buckets)."""
+    t = _planted_corpus(n=400)
+    cq = ray.data.from_arrow(t.slice(0, 8))
+    seen = []
+    real = core.hash_exchange
+
+    def spy(ds, key_cols, num_buckets=None, **kw):
+        seen.append(num_buckets)
+        return real(ds, key_cols, num_buckets, **kw)
+
+    monkeypatch.setattr(core, "hash_exchange", spy)
+    corpus_topk(ray.data.from_arrow(t), cq, k=3, n_clusters=16, nprobe=2).materialize()
+    assert seen == [min(16, 2 * _session_cpus())] * 3
+    seen.clear()
+
+    def no_helper(*ds):
+        raise AssertionError("an explicit num_buckets must not consult merge_buckets")
+
+    monkeypatch.setattr(core, "merge_buckets", no_helper)
+    corpus_topk(ray.data.from_arrow(t), cq, k=3, n_clusters=16, nprobe=2,
+                num_buckets=3).materialize()
+    assert seen == [3, 3, 3]
