@@ -11,6 +11,14 @@ value buffer (no per-row Python lists) that raises on null or ragged rows.
 - :func:`ivf_topk` — the scale path: train centroids on a sample (driver-side
   mini k-means), assign each vector to its nearest centroid in a pass, then
   search only the ``nprobe`` closest clusters per query.
+- :func:`corpus_topk` — the same IVF cells with a Dataset of queries: both
+  sides cross a keyed exchange on the cell id, and bucket tasks matmul.
+
+The IVF paths read their corpus once: it is materialized, and the centroid
+sample comes from its blocks through one raw task per block (a Ray Data
+execution costs a fixed 0.05–0.10 s, a raw task ~0.7 ms). Every
+nearest-centroid step — the Lloyd assignment, the probe choice, the cell
+assignment — is the single matmul of :func:`_centroid_dist`.
 
 Both per-batch kernels are stateless module-level functions over Ray Data's
 warm task-worker pool — a per-query actor pool costs ~1 s of process spawn
@@ -164,6 +172,27 @@ def _merge_partial_topk(partials: ray.data.Dataset, k: int, id_col: str) -> ray.
     return ray.data.from_pandas(df)
 
 
+def _centroid_dist(x: np.ndarray, cent: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from each row of *x* to each centroid, less
+    the per-row constant |x|²: ``|c|² − 2·x·cᵀ``. A row's argmin, argsort
+    and argpartition are those of the full squared distance; one matmul,
+    no (n, k, d) broadcast temporary. The one nearest-centroid expression of
+    the IVF kernels."""
+    return (cent * cent).sum(1) - 2.0 * (x @ cent.T)
+
+
+@ray.remote
+def _sample_block(block, frac: float, seed: int, vec_col: str) -> pa.Table:
+    """*vec_col* of one block's rows kept under a Bernoulli(*frac*) mask
+    seeded by *seed* (every row at ``frac >= 1``)."""
+    from ray.data.block import BlockAccessor
+
+    t = BlockAccessor.for_block(block).to_arrow().select([vec_col])
+    if frac >= 1.0:
+        return t
+    return t.filter(pa.array(np.random.default_rng(seed).random(t.num_rows) < frac))
+
+
 def train_centroids(
     ds: ray.data.Dataset,
     n_clusters: int = 16,
@@ -175,25 +204,38 @@ def train_centroids(
     """Mini k-means on a driver-side sample (the classic IVF training step —
     sample is small by construction; the full corpus never leaves the tasks).
 
-    Sampling is uniform via ``random_sample`` over every block — ``limit()``
-    would take only the first blocks, a biased sample (round-1 VERDICT).
-    An empty Dataset gives a (0, 0) matrix."""
-    n = ds.count()
+    *ds* is materialized unless it already is (callers that go on to
+    search it pass the copy they search, so they read it once); the row
+    count comes from block metadata. One raw task per block keeps its rows
+    under a Bernoulli mask seeded by ``seed + block index`` and returns only
+    *vec_col* — no Ray Data execution. The sample is uniform over every
+    block (``limit()`` would take only the head blocks, a biased sample)
+    and, for a given block layout, deterministic; an over-full draw is cut
+    to *sample_rows* by a uniform subset. Each Lloyd step assigns with one
+    matmul (:func:`_centroid_dist`). An empty Dataset gives a (0, 0)
+    matrix."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    blocks = [(ref, md.num_rows) for bundle in ds.iter_internal_ref_bundles()
+              for ref, md in bundle.blocks]
+    n = sum(rows for _, rows in blocks)
     if n == 0:
         return np.empty((0, 0))
-    if n > sample_rows:
-        frac = min(1.0, (sample_rows * 1.25) / n)
-        sample = _collect_arrow(ds.random_sample(frac, seed=seed).limit(sample_rows))
-        if len(sample) < min(sample_rows // 2, n // 2):  # pathological under-sample
-            sample = _collect_arrow(ds.limit(sample_rows))
-    else:
-        sample = _collect_arrow(ds)
+    frac = min(1.0, (sample_rows * 1.25) / n)
+    sample = pa.concat_tables(ray.get([
+        _sample_block.remote(ref, frac, seed + i, vec_col)
+        for i, (ref, rows) in enumerate(blocks) if rows]))
+    if sample.num_rows < min(sample_rows // 2, n // 2):  # pathological under-sample
+        sample = _collect_arrow(ds.limit(sample_rows))
     x = _list_matrix(sample[vec_col], vec_col)
     rng = np.random.default_rng(seed)
+    if len(x) > sample_rows:
+        x = x[np.sort(rng.choice(len(x), size=sample_rows, replace=False))]
     cent = x[rng.choice(len(x), size=min(n_clusters, len(x)), replace=False)]
     for _ in range(iters):
-        d = ((x[:, None, :] - cent[None, :, :]) ** 2).sum(-1)
-        assign = d.argmin(1)
+        assign = _centroid_dist(x, cent).argmin(1)
         for c in range(len(cent)):
             m = assign == c
             if m.any():
@@ -205,8 +247,7 @@ def _ivf_partial(t: pa.Table, *, cref, k: int, vec_col: str, id_col: str) -> pa.
     cent, q, probe_sets = _cached_broadcast(cref)
     vecs = _list_matrix(t[vec_col], vec_col)
     ids = t[id_col].to_numpy(zero_copy_only=False)
-    d = ((vecs[:, None, :] - cent[None, :, :]) ** 2).sum(-1)
-    cluster = d.argmin(1)
+    cluster = _centroid_dist(vecs, cent).argmin(1)
     vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True).clip(min=1e-12)
     sims = q @ vn.T
     out_q, out_i, out_s = [], [], []
@@ -247,14 +288,16 @@ def ivf_topk(
 
     Approximate: recall < 1 when a true neighbor lands in an unprobed
     cluster — the standard IVF tradeoff; brute_force_topk is the oracle.
+    *ds* is read once: it is materialized, and centroid training and the
+    search pass both read that copy.
     """
+    ds = ds.materialize()
     cent = train_centroids(ds, n_clusters, vec_col)
     if not len(cent):
         return _empty_topk(id_col)
     qn = queries.astype(np.float64)
     qn = qn / np.linalg.norm(qn, axis=1, keepdims=True).clip(min=1e-12)
-    qd = ((qn[:, None, :] - cent[None, :, :]) ** 2).sum(-1)
-    probed = np.argsort(qd, axis=1)[:, :nprobe]  # (Q, nprobe)
+    probed = np.argsort(_centroid_dist(qn, cent), axis=1)[:, :nprobe]  # (Q, nprobe)
     probe_sets = [set(row) for row in probed]
     cref = ray.put((cent, qn, probe_sets))
     partials = ds.map_batches(
@@ -285,9 +328,7 @@ def _corpus_cell_prep(t: pa.Table, *, cref, vec_col: str, id_col: str) -> pa.Tab
         return pa.table({"__cell": pa.array([], pa.int64()),
                          "__id": t[id_col], "__vec": t[vec_col]})
     cent = _cached_broadcast(cref)
-    v = _list_matrix(t[vec_col], vec_col)
-    # argmin_c |v-c|^2 = argmin_c (|c|^2 - 2 v·c); |v|^2 is constant per row
-    cell = (-2.0 * (v @ cent.T) + (cent * cent).sum(1)).argmin(1)
+    cell = _centroid_dist(_list_matrix(t[vec_col], vec_col), cent).argmin(1)
     return pa.table({
         "__cell": pa.array(cell.astype(np.int64)),
         "__id": t[id_col],
@@ -303,7 +344,7 @@ def _query_cell_prep(t: pa.Table, *, cref, nprobe: int, vec_col: str,
                          "__qid": t[id_col], "__qvec": t[vec_col]})
     cent = _cached_broadcast(cref)
     q = _list_matrix(t[vec_col], vec_col)
-    d = -2.0 * (q @ cent.T) + (cent * cent).sum(1)
+    d = _centroid_dist(q, cent)
     npb = min(nprobe, d.shape[1])
     probed = np.argpartition(d, npb - 1, axis=1)[:, :npb]  # (Q, npb)
     idx = np.repeat(np.arange(len(q)), npb)
@@ -386,13 +427,17 @@ def corpus_topk(
     :func:`~pipeflow_ray.stages.core.merge_buckets` ``)`` over both
     materialized sides: neither exchange's output is kept as a partitioning.
     The driver holds only centroids (trained on a bounded sample) — never
-    vectors or results."""
+    vectors or results. *corpus* is read once: it is materialized, centroid
+    training samples that copy, and the cell prep reads it; the raw copy is
+    dropped once the prepared one exists, so the object store keeps one
+    prepared copy of the corpus."""
     import ray.data as _rd
 
     from pipeflow_ray.stages.core import grouped_by_bucket, hash_exchange, merge_buckets
 
     query_vec_col = query_vec_col or vec_col
     query_id_col = query_id_col or id_col
+    corpus = corpus.materialize()
     cent = train_centroids(corpus, n_clusters, vec_col)
     if not len(cent):
         return _empty_topk(id_col)
@@ -401,6 +446,7 @@ def corpus_topk(
     c_prep = corpus.map_batches(
         _corpus_cell_prep, fn_kwargs=dict(cref=cref, vec_col=vec_col, id_col=id_col),
         batch_format="pyarrow").materialize()
+    del corpus
     q_prep = queries.map_batches(
         _query_cell_prep, fn_kwargs=dict(cref=cref, nprobe=nprobe,
                                          vec_col=query_vec_col, id_col=query_id_col),

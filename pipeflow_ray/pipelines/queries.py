@@ -2203,9 +2203,8 @@ def semdedup_embeddings(sf_dir):
 def ann_topk(sf_dir):
     from pipeflow_ray.functions.similarity import brute_force_topk
 
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    qdf = qtab.to_pandas()
-    qdf = qdf[qdf.vec_id < 3].sort_values("vec_id")
+    qdf = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
+                        filters=[("vec_id", "<", 3)]).to_pandas().sort_values("vec_id")
     queries = np.stack(qdf.embedding.to_numpy()).astype(np.float64)
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     got = brute_force_topk(ds, queries, k=10)
@@ -2973,8 +2972,8 @@ def ivf_topk_query(sf_dir):
     tests/test_functions.py::test_ivf_topk_recall."""
     from pipeflow_ray.functions.similarity import ivf_topk
 
-    qtab = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]).to_pandas()
-    qdf = qtab[qtab.vec_id < 3].sort_values("vec_id")
+    qdf = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"],
+                        filters=[("vec_id", "<", 3)]).to_pandas().sort_values("vec_id")
     queries = np.stack(qdf.embedding.to_numpy()).astype(np.float64)
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     got = ivf_topk(ds, queries, k=10, n_clusters=16, nprobe=16)

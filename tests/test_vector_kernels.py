@@ -1,9 +1,12 @@
 """Zero-copy vector prep (``similarity._list_matrix``), the blocked
 embedding near-dup verify, the merge-only exchange sizing
-(``stages.core.merge_buckets``), and empty-input schemas of the retrieval
-and vector-search ops."""
+(``stages.core.merge_buckets``), IVF centroid training and its read-once
+callers, and empty-input schemas of the retrieval and vector-search ops."""
 
 from __future__ import annotations
+
+import os
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -13,6 +16,7 @@ import ray.data
 
 from pipeflow_ray.functions.dedup import _sig_column, embedding_neardup_pairs
 from pipeflow_ray.functions.similarity import (
+    _centroid_dist,
     _list_matrix,
     brute_force_topk,
     corpus_topk,
@@ -20,6 +24,7 @@ from pipeflow_ray.functions.similarity import (
     kmeans_assignments,
     knn_classify,
     semantic_dedup_pairs,
+    train_centroids,
 )
 from pipeflow_ray.stages import core
 
@@ -342,3 +347,76 @@ def test_corpus_topk_bucket_count(monkeypatch):
     corpus_topk(ray.data.from_arrow(t), cq, k=3, n_clusters=16, nprobe=2,
                 num_buckets=3).materialize()
     assert seen == [3, 3, 3]
+
+
+def test_centroid_dist_matches_broadcast():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2_000, 32))
+    cent = rng.standard_normal((16, 32))
+    full = ((x[:, None, :] - cent[None, :, :]) ** 2).sum(-1)
+    d = _centroid_dist(x, cent)
+    assert d.shape == (2_000, 16)
+    np.testing.assert_array_equal(d.argmin(1), full.argmin(1))
+    np.testing.assert_array_equal(np.argsort(d, axis=1), np.argsort(full, axis=1))
+    np.testing.assert_allclose(d + (x * x).sum(1, keepdims=True), full, rtol=0, atol=1e-9)
+
+
+def _const_blocks(n_blocks=8, rows=1_000, dim=4):
+    """Block *i* holds *rows* copies of the constant vector *i*."""
+    return ray.data.from_arrow([
+        pa.table({"vec_id": pa.array(np.arange(i * rows, (i + 1) * rows)),
+                  "embedding": _rows(np.full((rows, dim), i, np.float32))})
+        for i in range(n_blocks)])
+
+
+def test_train_centroids_samples_every_block():
+    """One centroid is the sample mean: a sample from every block puts it
+    near the all-block mean 3.5; a head-of-corpus (``limit()``) sample of
+    4,096 of the 8,000 rows would put it near 1.5."""
+    ds = _const_blocks()
+    assert ds.materialize().num_blocks() == 8
+    cent = train_centroids(ds, n_clusters=1)
+    assert cent.shape == (1, 4)
+    assert np.all(np.abs(cent - 3.5) < 0.15), cent
+
+
+def test_train_centroids_deterministic_per_layout():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6_000, 8)).astype(np.float32)
+    ds = ray.data.from_arrow([pa.table({"embedding": _rows(x[i::6])}) for i in range(6)])
+    a = train_centroids(ds, n_clusters=4)
+    b = train_centroids(ds.materialize(), n_clusters=4)
+    assert a.shape == (4, 8)
+    np.testing.assert_array_equal(a, b)
+
+
+def test_ivf_paths_read_corpus_once(tmp_path):
+    """``corpus_topk`` and ``ivf_topk`` run the corpus pipeline once: a
+    marking UDF on the corpus runs as often as in one ``materialize()``."""
+    import pyarrow.parquet as pq
+
+    t = _planted_corpus(n=1_200)
+    src = tmp_path / "corpus"
+    src.mkdir()
+    for i in range(4):
+        pq.write_table(t.slice(300 * i, 300), str(src / f"part-{i}.parquet"))
+
+    def calls(run) -> int:
+        marks = tmp_path / uuid.uuid4().hex
+        marks.mkdir()
+
+        def mark(b, mark_dir=str(marks)):
+            open(os.path.join(mark_dir, uuid.uuid4().hex), "w").close()
+            return b
+
+        run(ray.data.read_parquet(str(src)).map_batches(mark, batch_format="pyarrow"))
+        return len(os.listdir(marks))
+
+    once = calls(lambda ds: ds.materialize())
+    assert once >= 4
+    cq = ray.data.from_arrow(t.slice(0, 8))
+    assert calls(lambda ds: corpus_topk(ds, cq, k=3, n_clusters=4, nprobe=2)
+                 .materialize()) == once
+    q = _list_matrix(t["embedding"].slice(0, 3), "embedding")
+    assert calls(lambda ds: ivf_topk(ds, q, k=3, n_clusters=4, nprobe=2)
+                 .materialize()) == once

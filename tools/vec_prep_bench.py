@@ -1,4 +1,5 @@
-"""Prep-layer microbench: list column → ndarray, zero-copy vs per-row boxing.
+"""Vector-kernel microbench: list column → ndarray, zero-copy vs per-row
+boxing, and the nearest-centroid assignment.
 
 Times ``similarity._list_matrix`` against the per-row expressions it
 replaced, on synthetic columns (no test data is read):
@@ -16,8 +17,15 @@ offset, as exchange outputs are. The helper's matrix must equal the source
 array exactly; ``boxed_exact`` reports whether the per-row expression did
 (it does not on signatures: ``np.asarray`` turns a row holding a value
 ≥ 2^63 into float64, and ``np.stack`` then rounds the whole batch). Gates:
-the helper is no slower at 2k rows and at least 50× faster at 100k rows;
-the exit status is 1 when a gate or the exactness check fails.
+the helper is no slower at 2k rows and at least 50× faster at 100k rows.
+
+``kmeans_assign_4k`` times ``similarity._centroid_dist(x, c).argmin(1)``
+(one matmul) against the ``(n, k, d)`` broadcast
+``((x[:, None] - c[None]) ** 2).sum(-1).argmin(1)`` it replaced, at
+4,096 × 16 centroids × 64 float64 (one IVF training sample). The argmins
+must be identical; the gate is at least 4× faster.
+
+The exit status is 1 when a gate or an exactness check fails.
 
 Usage: python tools/vec_prep_bench.py [--reps 3]
 """
@@ -90,7 +98,26 @@ def main() -> int:
                           "exact": exact, "boxed_exact": bool(np.array_equal(m_box, x.astype(dtype))),
                           "ok": passed}))
         del col, m_box, m_new
+    ok &= _kmeans_assign_case(rng, args.reps)
     return 0 if ok else 1
+
+
+def _kmeans_assign_case(rng, reps: int) -> bool:
+    from pipeflow_ray.functions.similarity import _centroid_dist
+
+    gate = 4.0
+    x = rng.standard_normal((4_096, DIM))
+    cent = rng.standard_normal((16, DIM))
+    t_old, a_old = _best(lambda: ((x[:, None, :] - cent[None, :, :]) ** 2).sum(-1).argmin(1), reps)
+    t_new, a_new = _best(lambda: _centroid_dist(x, cent).argmin(1), reps)
+    same = bool(np.array_equal(a_old, a_new))
+    speedup = t_old / t_new
+    passed = same and speedup >= gate
+    print(json.dumps({"case": "kmeans_assign_4k", "rows": len(x), "clusters": len(cent),
+                      "dim": DIM, "broadcast_s": round(t_old, 5),
+                      "centroid_dist_s": round(t_new, 5), "speedup": round(speedup, 1),
+                      "min_speedup": gate, "same_argmin": same, "ok": passed}))
+    return passed
 
 
 if __name__ == "__main__":
