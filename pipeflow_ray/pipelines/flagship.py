@@ -11,8 +11,12 @@ the whole chain runs inside one vectorized bucket pass:
     → bucket shuffle → per bucket: pair turns → window-aggregate → atomically
       commit partition file (bucket id = partition id) → emit aggregate rows
 
-One all-to-all exchange total, moving only (conv_id, turn_idx, role, tool,
-ts, n_chars) — never raw text. Exactly-once: each bucket commits through
+One all-to-all exchange total, moving only (conv_id, int32 turn_idx, int8
+role code, int64 ts, n_chars) — never raw text. The bucket pass is Arrow
+end to end: ``pc.sort_indices`` on (conv_id, turn_idx) and offset-slice
+compares pair the turns (:func:`~pipeflow_ray.stages.join.pair_next_turns`,
+shared with ``turn_response_join``), and ``Table.group_by`` aggregates the
+windows; no pandas frame is built. Exactly-once: each bucket commits through
 ``state.manifest.commit_partition`` (atomic manifest rename; Ray task retries
 and job re-runs no-op on committed partitions).
 """
@@ -27,7 +31,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from pipeflow_ray.stages.core import add_bucket_column  # noqa: F401 (legacy path)
+from pipeflow_ray.stages.join import pair_next_turns
 from pipeflow_ray.stages.window import session_aggregate
 from pipeflow_ray.state.manifest import commit_partition, prepare_sink
 
@@ -94,39 +98,6 @@ def _slim(t: pa.Table) -> pa.Table:
     )
 
 
-def _pair_and_window(g: pd.DataFrame, window_s: float) -> pd.DataFrame:
-    """Vectorized over every conversation in the bucket: pair each user turn
-    with its immediate assistant/tool response, then tumbling-window aggregate
-    per (conv_id, window)."""
-    window_us = int(window_s * 1_000_000)
-    g = g.sort_values(["conv_id", "turn_idx"], kind="mergesort")
-    nxt = g.shift(-1)
-    same = nxt["conv_id"].to_numpy() == g["conv_id"].to_numpy()
-    take = (g["rc"] == 0) & (nxt["rc"] == 1) & same & (nxt["turn_idx"] == g["turn_idx"] + 1)
-    user_us = g.loc[take, "ts_us"].to_numpy()
-    resp_us = nxt.loc[take, "ts_us"].to_numpy()
-    pairs = pd.DataFrame(
-        {
-            "conv_id": g.loc[take, "conv_id"],
-            "window_start": user_us // window_us * window_us,
-            "latency_s": (resp_us - user_us) / 1e6,
-            "user_chars": g.loc[take, "n_chars"].to_numpy(),
-            "resp_chars": nxt.loc[take, "n_chars"].to_numpy(),
-        }
-    )
-    gb = pairs.groupby(["conv_id", "window_start"], sort=False)
-    out = gb.agg(
-        n_pairs=("latency_s", "size"),
-        mean_latency_s=("latency_s", "mean"),
-        max_latency_s=("latency_s", "max"),
-        user_chars=("user_chars", "sum"),
-        resp_chars=("resp_chars", "sum"),
-    ).reset_index()
-    out["window_start"] = out["window_start"].astype("datetime64[us]")
-    out["n_pairs"] = out["n_pairs"].astype(np.int64)
-    return out
-
-
 _WINDOWED_SCHEMA = pa.schema(
     [
         ("conv_id", pa.string()),
@@ -140,12 +111,48 @@ _WINDOWED_SCHEMA = pa.schema(
 )
 
 
+_RESPONSE_CODE = pa.array([1], pa.int8())
+
+
+def _floor_to(us: pa.ChunkedArray, width: int) -> pa.Array:
+    """Floor epoch microseconds to a multiple of *width* (toward −∞, like
+    SQL integer ``//`` on the window start); nulls stay null."""
+    start = np.floor_divide(us.fill_null(0).to_numpy(), width) * width
+    return pa.array(start, mask=us.is_null().to_numpy() if us.null_count else None)
+
+
 def _reduce_table(slices, window_s: float) -> pa.Table:
+    """One bucket's reduce: pair each user turn with its immediate
+    assistant/tool response (:func:`~pipeflow_ray.stages.join.pair_next_turns`),
+    then tumbling-window aggregate per (conv_id, window) with Arrow
+    ``group_by``. Pairs whose conv_id is null form their own conversation,
+    and a null window start its own group, as SQL ``GROUP BY`` keeps them."""
     slices = [t for t in slices if t.num_rows]
     if not slices:
         return _WINDOWED_SCHEMA.empty_table()
-    agg = _pair_and_window(pa.concat_tables(slices).to_pandas(), window_s)
-    return pa.Table.from_pandas(agg, preserve_index=False).cast(_WINDOWED_SCHEMA)
+    t = pa.concat_tables(slices).combine_chunks()
+    u, r = pair_next_turns(t, "conv_id", "turn_idx", "rc", 0, _RESPONSE_CODE)
+    user, resp = t.take(u), t.take(r)
+    pairs = pa.table(
+        {
+            "conv_id": user["conv_id"],
+            "window_start": _floor_to(user["ts_us"], int(window_s * 1_000_000)),
+            "latency_s": pc.divide(
+                pc.subtract(resp["ts_us"], user["ts_us"]).cast(pa.float64()), 1e6),
+            "user_chars": user["n_chars"],
+            "resp_chars": resp["n_chars"],
+        }
+    )
+    out = pairs.group_by(["conv_id", "window_start"], use_threads=False).aggregate([
+        ("latency_s", "count", pc.CountOptions(mode="all")),
+        ("latency_s", "mean"),
+        ("latency_s", "max"),
+        ("user_chars", "sum"),
+        ("resp_chars", "sum"),
+    ])
+    out = out.select(["conv_id", "window_start", "latency_s_count", "latency_s_mean",
+                      "latency_s_max", "user_chars_sum", "resp_chars_sum"])
+    return out.rename_columns(_WINDOWED_SCHEMA.names).cast(_WINDOWED_SCHEMA)
 
 
 # Module-level remote tasks (never per-call closures — see stages/core.py).

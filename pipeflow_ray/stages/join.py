@@ -8,8 +8,9 @@ assistant/tool response turns. Three strategies, chosen by side sizes:
 - :func:`broadcast_join` — small side broadcast once via ``ray.put``, looked
   up per batch inside ``map_batches`` (no shuffle);
 - :func:`turn_response_join` — the flagship conversation join: one
-  ``groupby(conv_id)`` shuffle co-locates each conversation, the pairing scan
-  is vectorized (pandas shift) inside the group;
+  ``conv_id`` bucket exchange co-locates each conversation, and
+  :func:`pair_next_turns` (Arrow sort + offset-slice compare) pairs every
+  conversation of a bucket in one pass;
 - :func:`hash_join` — both sides large: Ray's built-in hash-partitioned
   ``Dataset.join`` when available, else an explicit bucket-partitioned join.
 
@@ -19,8 +20,10 @@ Streaming (micro-batch, incremental) join state lives in
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -52,6 +55,45 @@ def broadcast_join(
     return ds.map_batches(_join, batch_format="pandas")
 
 
+def pair_next_turns(t: pa.Table, key: str, order_col: str, role_col: str,
+                    user_role, response_roles: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each user turn with the turn right after it in its conversation,
+    vectorized over every conversation in *t*.
+
+    Orders *t* stably by (*key*, *order_col*) and returns row indices
+    ``(user, response)`` into *t*: row ``user[i]`` has ``role_col ==
+    user_role``, and row ``response[i]`` is the next turn in that order with
+    the same *key*, ``order_col`` exactly one higher and ``role_col`` in
+    *response_roles*. Two null keys count as one conversation, as in SQL
+    ``PARTITION BY``. Callers build the pairs with ``t.take(user)`` and
+    ``t.take(response)``."""
+    order = pc.sort_indices(t, [(key, "ascending"), (order_col, "ascending")]).to_numpy()
+    n = len(order)
+    if n < 2:
+        return order[:0], order[:0]
+    s = t.select([key, order_col, role_col]).take(order)
+
+    def cur(c):
+        return s[c].slice(0, n - 1)
+
+    def nxt(c):
+        return s[c].slice(1)
+
+    same = pc.coalesce(pc.equal(cur(key), nxt(key)),
+                       pc.and_(pc.is_null(cur(key)), pc.is_null(nxt(key))))
+    take = pc.and_(
+        pc.and_(pc.equal(cur(role_col), user_role),
+                pc.is_in(nxt(role_col), value_set=response_roles)),
+        pc.and_(same, pc.equal(nxt(order_col), pc.add(cur(order_col), 1))),
+    )
+    i = np.flatnonzero(pc.fill_null(take, False).to_numpy())
+    return order[i], order[i + 1]
+
+
+_RESPONSE_ROLES = pa.array(["assistant", "tool"])
+_UNITS_PER_S = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
+
+
 def turn_response_join(
     ds: ray.data.Dataset,
     key: str = "conv_id",
@@ -64,12 +106,12 @@ def turn_response_join(
     Partitioning assumption: one shuffle on ``hash(conv_id) % B`` co-locates
     every conversation; the pairing UDF runs once per BUCKET (not per
     conversation — see :func:`~pipeflow_ray.stages.core.grouped_by_bucket`)
-    and is vectorized across all conversations in the bucket: sort by
-    (conv_id, turn_idx), shift(-1), mask out cross-conversation boundaries.
+    and is vectorized across all conversations in the bucket by
+    :func:`pair_next_turns` (Arrow throughout, no pandas round-trip).
     Output: one row per user turn that has a response, with
     ``user_<col>`` / ``response_<col>`` for every *carry_cols* entry (default
-    ``["text"]``), ``response_role``/``response_tool``, and the response
-    latency in seconds.
+    ``["text"]``, each keeping its input type), ``response_role``/
+    ``response_tool``, and the response latency in seconds.
 
     Shuffle-volume note: only ``key``/``order_col``/``role``/``tool``/``ts``
     and the carry columns cross the wire — callers that only need derived
@@ -81,31 +123,28 @@ def turn_response_join(
 
     carry = carry_cols if carry_cols is not None else ["text"]
     needed = list(dict.fromkeys([key, order_col, "role", "tool", "ts", *carry]))
-    ds = ds.select_columns([c for c in needed])
+    ds = ds.select_columns(needed)
 
-    def _pair(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key, order_col], kind="mergesort")
-        nxt = g.shift(-1)
-        same_conv = nxt[key].to_numpy() == g[key].to_numpy()
-        is_user = g["role"] == "user"
-        responded = nxt["role"].isin(["assistant", "tool"])
-        take = is_user & responded & same_conv & (nxt[order_col] == g[order_col] + 1)
+    def _pair(t: pa.Table) -> pa.Table:
+        u, r = pair_next_turns(t, key, order_col, "role", "user", _RESPONSE_ROLES)
+        user, resp = t.take(u), t.take(r)
         cols = {
-            key: g.loc[take, key],
-            "turn_idx": g.loc[take, order_col].astype("int32"),
-            "user_ts": g.loc[take, "ts"],
-            "response_role": nxt.loc[take, "role"],
-            "response_tool": nxt.loc[take, "tool"],
-            "response_ts": nxt.loc[take, "ts"],
+            key: user[key],
+            "turn_idx": user[order_col].cast(pa.int32()),
+            "user_ts": user["ts"],
+            "response_role": resp["role"],
+            "response_tool": resp["tool"],
+            "response_ts": resp["ts"],
         }
         for c in carry:
-            cols[f"user_{c}"] = g.loc[take, c]
-            cols[f"response_{c}"] = nxt.loc[take, c]
-        out = pd.DataFrame(cols)
-        out["latency_s"] = (out["response_ts"] - out["user_ts"]).dt.total_seconds()
-        return out
+            cols[f"user_{c}"] = user[c]
+            cols[f"response_{c}"] = resp[c]
+        delta = pc.subtract(resp["ts"], user["ts"])
+        cols["latency_s"] = pc.divide(delta.cast(pa.int64()).cast(pa.float64()),
+                                      float(_UNITS_PER_S[delta.type.unit]))
+        return pa.table(cols)
 
-    return grouped_by_bucket(ds, [key], _pair, batch_format="pandas")
+    return grouped_by_bucket(ds, [key], _pair, batch_format="pyarrow")
 
 
 JOIN_CHUNK_ROWS = 1 << 18  # probe-side rows per merge chunk (hot-key guard)

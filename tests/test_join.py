@@ -60,6 +60,33 @@ def test_turn_response_join_hot_key_correct():
     assert len(hot_got) == len(hot_ref) > 100
 
 
+def test_turn_response_join_schema_is_stable_across_buckets(transcripts_table):
+    """Every reduce block has one schema: ``response_tool`` stays a string
+    in buckets whose responses all lack a tool, and a carried int column
+    keeps its type on the response side."""
+    import pyarrow as pa
+    import ray
+
+    from pipeflow_ray.pipelines.flagship import normalize
+
+    ds = ray.data.from_arrow(normalize(transcripts_table))
+    out = turn_response_join(ds, carry_cols=["n_chars"]).materialize()
+    expected = pa.schema([
+        ("conv_id", pa.string()), ("turn_idx", pa.int32()),
+        ("user_ts", pa.timestamp("us")), ("response_role", pa.string()),
+        ("response_tool", pa.string()), ("response_ts", pa.timestamp("us")),
+        ("user_n_chars", pa.int64()), ("response_n_chars", pa.int64()),
+        ("latency_s", pa.float64()),
+    ])
+    blocks = [ray.get(r) for r in out.to_arrow_refs()]
+    assert len(blocks) > 1
+    assert all(b.schema.remove_metadata() == expected for b in blocks)
+    got = pa.concat_tables(blocks).to_pandas()
+    ref = _oracle_pairs(transcripts_table.to_pandas())
+    assert len(got) == len(ref)
+    assert ((got.response_ts - got.user_ts).dt.total_seconds() == got.latency_s).all()
+
+
 def test_broadcast_join():
     big = ray.data.from_items([{"k": i % 3, "v": i} for i in range(100)])
     dim = pd.DataFrame({"k": [0, 1, 2], "name": ["x", "y", "z"]})
