@@ -10,11 +10,17 @@ vectorized: per-micro-batch session *fragments* are computed with pandas
 
 Partitioning: conversations are hash-bucketed across ``num_buckets`` actors —
 the same key discipline as the batch path (one key, ``conv_id``, everywhere).
-Arrival order: ALL ingest goes through :class:`ShardReplayer` actors (one
-ingest code path — the driver never decodes bytes): each replayer owns one
-contiguous name-ordered shard group and replays it sequentially; the
-``Streaming*Runner`` classes are thin ``max_replayers=1`` wrappers over their
-``Parallel*Runner`` twins for strict totally-ordered arrival semantics.
+Arrival order: ALL event-time ingest goes through :class:`ShardReplayer`
+actors (one ingest code path — the driver never decodes bytes): each
+replayer owns one contiguous name-ordered shard group and replays it
+sequentially; the event-time ``Streaming*Runner`` classes are thin
+``max_replayers=1`` wrappers over their ``Parallel*Runner`` twins for strict
+totally-ordered arrival semantics. The aggregate-on-ingest runners (exact
+and KLL quantiles, vocabulary, exact dedup, HLL, top-k, conversation dedup)
+merge commutatively and need no arrival order; they share one replay task
+(:func:`_replay_ingest_shard`), one bucket actor
+(:class:`IngestBucketActor`, holding a family's plain state class) and one
+run helper (:func:`_run_on_ingest`).
 
 Semantics contract (tested): with ``allowed_lateness`` ≥ max disorder, the
 finalized sessions equal the batch-mode :func:`~pipeflow_ray.stages.window.
@@ -77,8 +83,8 @@ def _session_fragments(df: pd.DataFrame, gap_us: int) -> pd.DataFrame:
 # never queue for a slot. A reservation would be held by idle cached actors
 # too — with 0.5 per replayer, five idle replayers held 2.5 of a 4-CPU
 # node's slots and the next runner's replayers were never placed. The
-# on-ingest runners' replay *tasks* (``_replay_*_shard``) keep 0.5: they
-# end with their shard group and are where CPU admission still applies.
+# on-ingest runners' replay *task* (``_replay_ingest_shard``) keeps 0.5: it
+# ends with its shard group and is where CPU admission still applies.
 # Spawning is the expensive part (≈0.9 s of Python-process start per actor;
 # actors never reuse idle task workers), hence the warm cache below.
 
@@ -2356,83 +2362,167 @@ class ParallelCheckpointingKleeneRunner(_ParallelCheckpointMixin, ParallelKleene
                                       checkpoint_every, stop_after_epochs)
 
 
-@ray.remote(num_cpus=0)
-class QuantileBucketActor(_Reusable):
-    """Value-histogram state for one hash bucket of keys: ``(key, value) →
-    count``. State is O(keys × distinct values) ints — EXACT quantiles at
-    any flush for bounded-cardinality value domains, in one pass (the
-    aggregate sibling of dedup-on-ingest's fingerprint state)."""
-
-    def __init__(self):
-        self.counts: dict[tuple, int] = {}
-
-    def process(self, partials: pd.DataFrame) -> None:
-        counts = self.counts
-        for key, value, c in partials.itertuples(index=False, name=None):
-            kv = (key, value)
-            counts[kv] = counts.get(kv, 0) + int(c)
-
-    def flush(self) -> pd.DataFrame:
-        ks, vs, cs = [], [], []
-        for (k, v), c in self.counts.items():
-            ks.append(k)
-            vs.append(v)
-            cs.append(c)
-        return pd.DataFrame({"key": ks, "value": np.asarray(vs, np.int64),
-                             "__cnt": np.asarray(cs, np.int64)})
-
-    def flush_quantiles(self, qs: tuple, out_names: list) -> pd.DataFrame:
-        """Per-bucket quantile readout: keys are hash-partitioned, so each
-        bucket's histogram is complete for its keys — the driver receives
-        O(keys) final rows, never the histograms."""
-        from pipeflow_ray.stages.window import _quantile_reduce
-
-        hist = self.flush()
-        if not len(hist):
-            return hist
-        return _quantile_reduce(hist, ["key"], "value", qs, list(out_names), "n")
+# ---------------------------------------------------------------------------
+# Aggregate-on-ingest: seven runner families (exact and KLL quantiles,
+# vocabulary, exact dedup, HLL, top-k, conversation dedup) on one path. A
+# family is a per-batch partial — a module-level function the replay task
+# applies to each micro-batch, returning ``(keys, *payload arrays)`` — and a
+# plain state class (``process``, ``flush``, optionally ``state_size``) that
+# :class:`IngestBucketActor` holds for one hash bucket of keys. Every state
+# tolerates any shard interleaving: the exact states flush the same result,
+# the sketches keep their bounds.
+# ---------------------------------------------------------------------------
 
 
 @ray.remote(num_cpus=0.5)
-def _replay_quantile_shard(files: list, key_col: str, value_fn,
-                           micro_batch_rows: int, columns: list, *buckets) -> int:
-    """Stream one shard group: decode → derive (key, int value) per row →
-    per-batch (key, value)→count partials (the combiner) → route to bucket
-    histogram actors. Module-level task, explicit args (long-session rule);
-    the caller passes value_fn as a top-level ``ray.put`` ref, which Ray
-    resolves to the function before the task body runs."""
-    nb = len(buckets)
-    rows = 0
+def _replay_ingest_shard(files: list, columns: list, key_col: "str | None",
+                         partial, partial_args: tuple, micro_batch_rows: int,
+                         *buckets) -> tuple[int, int]:
+    """Stream one shard group: decode each micro-batch, drop (and count) the
+    rows whose *key_col* is null, reduce the rest with *partial* to
+    ``(keys, *payload)`` arrays, route each row of them to bucket
+    ``hash_array(keys) % nb`` — the rule :meth:`ShardReplayer._route` uses —
+    and send every non-empty slice to its bucket actor. Per-batch futures
+    pipeline (same-caller ordering) up to a 256-future backpressure cap.
+    Module-level task, explicit args (long-session rule). Returns
+    (rows read, null-key rows dropped)."""
+    import pyarrow.compute as pc
+
+    nb = np.uint64(len(buckets))
+    rows = null_keys = 0
     pending: list = []
     for f in files:
         for rb in pq.ParquetFile(str(f)).iter_batches(
             batch_size=micro_batch_rows, columns=columns
         ):
+            rows += rb.num_rows
             t = pa.Table.from_batches([rb])
-            if value_fn is not None:
-                t = value_fn(t)
-            df = pd.DataFrame({"key": t[key_col].to_pandas(),
-                               "value": t["value"].to_pandas().astype(np.int64)})
-            rows += len(df)
-            partials = (df.groupby(["key", "value"], sort=False)
-                        .size().reset_index(name="c"))
-            b = pd.util.hash_array(partials.key.to_numpy(dtype=object)) % nb
-            pending.extend(
-                buckets[k].process.remote(partials[b == k])
-                for k in range(nb) if (b == k).any()
-            )
+            if key_col is not None and t[key_col].null_count:
+                null_keys += t[key_col].null_count
+                t = t.filter(pc.is_valid(t[key_col]))
+            if not t.num_rows:
+                continue
+            keys, *payload = partial(t, *partial_args)
+            b = pd.util.hash_array(keys) % nb
+            for k in range(len(buckets)):
+                m = b == k
+                if m.any():
+                    pending.append(
+                        buckets[k].process.remote(keys[m], *(p[m] for p in payload)))
             if len(pending) > 256:
                 ray.get(pending)
                 pending = []
-    if pending:
-        ray.get(pending)
-    return rows
+    ray.get(pending)
+    return rows, null_keys
+
+
+@ray.remote(num_cpus=0)
+class IngestBucketActor(_Reusable):
+    """One hash bucket of an aggregate-on-ingest runner: holds the family's
+    state object and forwards the replay tasks' and the driver's calls."""
+
+    def __init__(self, state_cls, *args):
+        self.state = state_cls(*args)
+
+    def process(self, *arrays) -> None:
+        self.state.process(*arrays)
+
+    def flush(self) -> pd.DataFrame:
+        return self.state.flush()
+
+    def state_size(self) -> int:
+        return self.state.state_size()
+
+
+def _run_on_ingest(parquet_path: str, micro_batch_rows: int, *, num_buckets: int,
+                   max_replayers: int, state: tuple, columns: list,
+                   key_col: "str | None", partial, partial_args: tuple,
+                   state_metric: "str | None" = None, fetch: bool = True):
+    """The run every aggregate-on-ingest runner shares: name-ordered shard
+    groups, one bucket actor per bucket holding ``state[0](*state[1:])``,
+    one replay task per group, flush, release. Returns (flushed, metrics):
+    the bucket flushes concatenated in bucket order (a typed empty frame on
+    empty input) — or, with ``fetch=False``, the computed per-bucket flush
+    refs — and the metrics every runner reports, plus the summed
+    ``state_size`` under *state_metric* when given."""
+    files = _shard_files(parquet_path)
+    groups = _shard_groups(files, max_replayers)
+    actors = [_acquire(IngestBucketActor, *state) for _ in range(num_buckets)]
+    counts = ray.get([
+        _replay_ingest_shard.remote(g, columns, key_col, partial, partial_args,
+                                    micro_batch_rows, *actors)
+        for g in groups
+    ])
+    refs = [a.flush.remote() for a in actors]
+    metrics = {"rows": sum(r for r, _ in counts),
+               "null_key_rows": sum(n for _, n in counts),
+               "shards": len(files), "replayers": len(groups),
+               "replayer_rows": [r for r, _ in counts]}
+    if state_metric is not None:
+        metrics[state_metric] = sum(ray.get([a.state_size.remote() for a in actors]))
+    if fetch:
+        frames = ray.get(refs)
+        flushed = pd.concat([f for f in frames if len(f)] or frames[:1],
+                            ignore_index=True)
+    else:
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        flushed = refs
+    _release(*actors)
+    return flushed, metrics
+
+
+def _quantile_names(qs: tuple) -> list:
+    return [f"p{int(round(q * 100)):02d}" for q in qs]
+
+
+def _histogram_partial(t: pa.Table, key_col: str, value_fn):
+    """Per-batch (key, int value) → count: the combiner of the exact
+    quantile runner."""
+    if value_fn is not None:
+        t = value_fn(t)
+    p = (pd.DataFrame({"key": t[key_col].to_pandas(),
+                       "value": t["value"].to_pandas().astype(np.int64)})
+         .groupby(["key", "value"], sort=False).size().reset_index(name="c"))
+    return p.key.to_numpy(dtype=object), p.value.to_numpy(), p.c.to_numpy()
+
+
+class _HistogramState:
+    """Value-histogram state for one hash bucket of keys: ``(key, value) →
+    count``. State is O(keys × distinct values) ints — EXACT quantiles at
+    any flush for bounded-cardinality value domains, in one pass. The flush
+    reads the quantiles in the bucket: keys are hash-partitioned, so each
+    bucket's histogram is complete for its keys and the driver receives
+    O(keys) final rows, never the histograms."""
+
+    def __init__(self, qs: tuple):
+        self.qs = qs
+        self.counts: dict[tuple, int] = {}
+
+    def process(self, keys: np.ndarray, values: np.ndarray, counts: np.ndarray) -> None:
+        hist = self.counts
+        for key, value, c in zip(keys.tolist(), values.tolist(), counts.tolist()):
+            hist[key, value] = hist.get((key, value), 0) + c
+
+    def flush(self) -> pd.DataFrame:
+        from pipeflow_ray.stages.window import _quantile_reduce
+
+        names = _quantile_names(self.qs)
+        if not self.counts:
+            return pd.DataFrame({"key": pd.Series(dtype=object),
+                                 **{c: pd.Series(dtype=np.int64) for c in ["n", *names]}})
+        n = len(self.counts)
+        hist = pd.DataFrame({
+            "key": [k for k, _ in self.counts],
+            "value": np.fromiter((v for _, v in self.counts), np.int64, n),
+            "__cnt": np.fromiter(self.counts.values(), np.int64, n),
+        })
+        return _quantile_reduce(hist, ["key"], "value", self.qs, names, "n")
 
 
 class StreamingQuantileRunner:
     """Single-pass streaming EXACT grouped quantiles: shard replayers reduce
     each micro-batch to (key, value)→count partials, bucketed histogram
-    actors merge them commutatively (shard interleaving cannot change a
+    states merge them commutatively (shard interleaving cannot change a
     histogram), and the flush reads quantiles off cumulative counts with
     the same percentile_disc rule as the batch
     :func:`~pipeflow_ray.stages.window.grouped_quantiles` — equal results
@@ -2445,55 +2535,60 @@ class StreamingQuantileRunner:
         self.key_col = key_col
         self.qs = tuple(qs)
         # value_fn: table→table adding an int64 ``value`` column (derived
-        # inside the replayers); columns: raw columns the derivation needs
+        # inside the replayers); columns: raw columns read, the key column
+        # (whose null rows are dropped before value_fn) and what the
+        # derivation needs
         self.value_fn = value_fn
         self.columns = columns or [key_col, "value"]
         self.num_buckets = num_buckets
         self.max_replayers = max_replayers
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        files = _shard_files(parquet_path)
-        groups = _shard_groups(files, self.max_replayers)
-        actors = [_acquire(QuantileBucketActor) for _ in range(self.num_buckets)]
-        fn_ref = ray.put(self.value_fn) if self.value_fn is not None else None
-        rows = ray.get([
-            _replay_quantile_shard.remote(g, self.key_col, fn_ref,
-                                          micro_batch_rows, self.columns, *actors)
-            for g in groups
-        ])
-        out_names = [f"p{int(round(q * 100)):02d}" for q in self.qs]
-        parts = [f for f in ray.get([
-            a.flush_quantiles.remote(self.qs, out_names) for a in actors
-        ]) if len(f)]
-        _release(*actors)
-        if parts:
-            result = pd.concat(parts, ignore_index=True) \
-                .rename(columns={"key": self.key_col})
-        else:
-            result = pd.DataFrame(columns=[self.key_col, "n", *out_names])
-        metrics = {"rows": int(sum(rows)), "keys": int(len(result)),
-                   "shards": len(files), "replayers": len(groups),
-                   "replayer_rows": [int(r) for r in rows]}
+        result, metrics = _run_on_ingest(
+            parquet_path, micro_batch_rows, num_buckets=self.num_buckets,
+            max_replayers=self.max_replayers, state=(_HistogramState, self.qs),
+            columns=self.columns, key_col=self.key_col,
+            partial=_histogram_partial, partial_args=(self.key_col, self.value_fn))
+        result = result.rename(columns={"key": self.key_col})
+        metrics["keys"] = len(result)
         return result, metrics
 
 
-@ray.remote(num_cpus=0)
-class SketchQuantileBucketActor(_Reusable):
+def _kll_partial(t: pa.Table, key_col: str, value_fn, k: int):
+    """One KLL sketch per (batch, key) of float values (the combiner: rows
+    never leave the replayer), as serialized blobs."""
+    from pipeflow_ray.functions.sketches import KLLSketch
+
+    if value_fn is not None:
+        t = value_fn(t)
+    df = pd.DataFrame({"key": t[key_col].to_pandas(),
+                       "value": t["value"].to_pandas().astype(np.float64)})
+    vals = df["value"].to_numpy()
+    key_rows, blobs = [], []
+    for kv, idx in df.groupby("key", sort=False).indices.items():
+        sk = KLLSketch(k)
+        sk.update_many(vals[idx])
+        key_rows.append(kv)
+        blobs.append(sk.dumps())
+    return pd.Series(key_rows).to_numpy(dtype=object), np.array(blobs, dtype=object)
+
+
+class _KLLState:
     """KLL-sketch state for one hash bucket of keys: ``key → KLLSketch``.
     Commutative merge (any shard interleaving), state O(keys · k · log(n/k))
     floats REGARDLESS of the value domain — the unbounded-continuous-domain
-    sibling of :class:`QuantileBucketActor`'s exact histograms (round-3
-    VERDICT #2)."""
+    sibling of :class:`_HistogramState`'s exact histograms. The flush reads
+    the quantiles in the bucket."""
 
-    def __init__(self, k: int = 400):
-        self.k = k
+    def __init__(self, qs: tuple):
+        self.qs = qs
         self.sketches: dict = {}
 
-    def process(self, partials: pd.DataFrame) -> None:
+    def process(self, keys: np.ndarray, blobs: np.ndarray) -> None:
         from pipeflow_ray.functions.sketches import KLLSketch
 
         sketches = self.sketches
-        for key, blob in partials.itertuples(index=False, name=None):
+        for key, blob in zip(keys.tolist(), blobs.tolist()):
             sk = sketches.get(key)
             incoming = KLLSketch.loads(blob)
             if sk is None:
@@ -2504,61 +2599,21 @@ class SketchQuantileBucketActor(_Reusable):
     def state_size(self) -> int:
         return int(sum(sk.size() for sk in self.sketches.values()))
 
-    def flush_quantiles(self, qs: tuple, out_names: list) -> pd.DataFrame:
-        rows = []
-        for key, sk in self.sketches.items():
-            rows.append((key, sk.n, *sk.quantiles(qs)))
-        return pd.DataFrame(rows, columns=["key", "n", *out_names])
-
-
-@ray.remote(num_cpus=0.5)
-def _replay_sketch_shard(files: list, key_col: str, value_fn,
-                         micro_batch_rows: int, columns: list, k: int,
-                         *buckets) -> int:
-    """Stream one shard group: decode → derive (key, float value) → one KLL
-    sketch per (batch, key) (the combiner: rows never leave the replayer) →
-    route sketch blobs to bucket actors. Module-level task, explicit args
-    (long-session rule)."""
-    from pipeflow_ray.functions.sketches import KLLSketch
-
-    nb = len(buckets)
-    rows = 0
-    pending: list = []
-    for f in files:
-        for rb in pq.ParquetFile(str(f)).iter_batches(
-            batch_size=micro_batch_rows, columns=columns
-        ):
-            t = pa.Table.from_batches([rb])
-            if value_fn is not None:
-                t = value_fn(t)
-            df = pd.DataFrame({"key": t[key_col].to_pandas(),
-                               "value": t["value"].to_pandas().astype(np.float64)})
-            rows += len(df)
-            vals = df["value"].to_numpy()
-            key_rows, blobs = [], []
-            for kv, idx in df.groupby("key", sort=False).indices.items():
-                sk = KLLSketch(k)
-                sk.update_many(vals[idx])
-                key_rows.append(kv)
-                blobs.append(sk.dumps())
-            partials = pd.DataFrame({"key": key_rows, "blob": blobs})
-            b = pd.util.hash_array(partials.key.to_numpy(dtype=object)) % nb
-            pending.extend(
-                buckets[j].process.remote(partials[b == j])
-                for j in range(nb) if (b == j).any()
-            )
-            if len(pending) > 256:
-                ray.get(pending)
-                pending = []
-    if pending:
-        ray.get(pending)
-    return rows
+    def flush(self) -> pd.DataFrame:
+        sks = list(self.sketches.values())
+        q = np.array([sk.quantiles(self.qs) for sk in sks], np.float64)
+        q = q.reshape(len(sks), len(self.qs))
+        return pd.DataFrame({
+            "key": pd.Series(list(self.sketches)),
+            "n": np.fromiter((sk.n for sk in sks), np.int64, len(sks)),
+            **{name: q[:, j] for j, name in enumerate(_quantile_names(self.qs))},
+        })
 
 
 class StreamingSketchQuantileRunner:
     """Single-pass streaming APPROXIMATE grouped quantiles over unbounded
     continuous value domains: replayers shrink each micro-batch to per-key
-    KLL sketches, bucket actors merge them commutatively (shard interleaving
+    KLL sketches, bucket states merge them commutatively (shard interleaving
     changes nothing beyond the sketch's own error bound), and the flush reads
     quantiles off the merged sketches — state is O(keys · k · log(n/k))
     floats where :class:`StreamingQuantileRunner`'s exact histograms would
@@ -2576,45 +2631,36 @@ class StreamingSketchQuantileRunner:
         self.max_replayers = max_replayers
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        files = _shard_files(parquet_path)
-        groups = _shard_groups(files, self.max_replayers)
-        actors = [_acquire(SketchQuantileBucketActor, self.k)
-                  for _ in range(self.num_buckets)]
-        fn_ref = ray.put(self.value_fn) if self.value_fn is not None else None
-        rows = ray.get([
-            _replay_sketch_shard.remote(g, self.key_col, fn_ref,
-                                        micro_batch_rows, self.columns,
-                                        self.k, *actors)
-            for g in groups
-        ])
-        out_names = [f"p{int(round(q * 100)):02d}" for q in self.qs]
-        parts = [f for f in ray.get([
-            a.flush_quantiles.remote(self.qs, out_names) for a in actors
-        ]) if len(f)]
-        state = int(sum(ray.get([a.state_size.remote() for a in actors])))
-        _release(*actors)
-        if parts:
-            result = pd.concat(parts, ignore_index=True) \
-                .rename(columns={"key": self.key_col})
-        else:
-            result = pd.DataFrame(columns=[self.key_col, "n", *out_names])
-        metrics = {"rows": int(sum(rows)), "keys": int(len(result)),
-                   "retained_items": state, "shards": len(files),
-                   "replayers": len(groups),
-                   "replayer_rows": [int(r) for r in rows]}
+        result, metrics = _run_on_ingest(
+            parquet_path, micro_batch_rows, num_buckets=self.num_buckets,
+            max_replayers=self.max_replayers, state=(_KLLState, self.qs),
+            columns=self.columns, key_col=self.key_col, partial=_kll_partial,
+            partial_args=(self.key_col, self.value_fn, self.k),
+            state_metric="retained_items")
+        result = result.rename(columns={"key": self.key_col})
+        metrics["keys"] = len(result)
         return result, metrics
 
 
-@ray.remote(num_cpus=0)
-class VocabBucketActor(_Reusable):
+def _vocab_partial(t: pa.Table, text_col: str, id_col: str):
+    """Per-batch (doc, token, tf) via the exact explode kernel (each doc is
+    one row, so tf is complete per doc), reduced to per-token (df, tf)."""
+    from pipeflow_ray.functions.text import _doc_token_tf
+
+    p = (_doc_token_tf(t, text_col, id_col).groupby("token", sort=False)
+         .agg(df_c=(id_col, "size"), tf_c=("tf", "sum")).reset_index())
+    return p.token.to_numpy(dtype=object), p.df_c.to_numpy(), p.tf_c.to_numpy()
+
+
+class _VocabState:
     """Vocabulary state for one hash bucket of tokens: per-token document
     frequency and total term frequency. Commutative merge; state is
     O(vocabulary) — the vocabulary-build sibling of dedup-on-ingest.
 
-    Fully vectorized (round-4 VERDICT #4): incoming partial frames buffer
-    and compact into one frame via ``pd.concat + groupby.sum`` every
-    *compact_every* batches — no per-token Python loop; between compactions
-    the extra state is bounded by ``compact_every`` per-batch partials."""
+    Fully vectorized: incoming partials buffer as frames and compact into
+    one via ``pd.concat + groupby.sum`` every *compact_every* batches — no
+    per-token Python loop; between compactions the extra state is bounded
+    by ``compact_every`` per-batch partials."""
 
     def __init__(self, compact_every: int = 32):
         self.frames: list[pd.DataFrame] = []
@@ -2628,57 +2674,19 @@ class VocabBucketActor(_Reusable):
                              [["df_c", "tf_c"]].sum()]
         self.pending = 0
 
-    def process(self, partials: pd.DataFrame) -> None:
-        if len(partials):
-            self.frames.append(partials)
-            self.pending += 1
-            if self.pending >= self.compact_every:
-                self._compact()
+    def process(self, tokens: np.ndarray, df_c: np.ndarray, tf_c: np.ndarray) -> None:
+        self.frames.append(pd.DataFrame({"token": tokens, "df_c": df_c, "tf_c": tf_c}))
+        self.pending += 1
+        if self.pending >= self.compact_every:
+            self._compact()
 
     def flush(self) -> pd.DataFrame:
         self._compact()
-        if not self.frames or not len(self.frames[0]):
-            return pd.DataFrame({"token": pd.Series(dtype=object),
-                                 "df": pd.Series(dtype=np.int64),
-                                 "tf_total": pd.Series(dtype=np.int64)})
-        out = self.frames[0].rename(columns={"df_c": "df", "tf_c": "tf_total"})
-        out["df"] = out["df"].astype(np.int64)
-        out["tf_total"] = out["tf_total"].astype(np.int64)
-        return out.reset_index(drop=True)
-
-
-@ray.remote(num_cpus=0.5)
-def _replay_vocab_shard(files: list, text_col: str, id_col: str,
-                        micro_batch_rows: int, *buckets) -> int:
-    """Stream one shard group: per-batch (doc, token, tf) via the exact
-    explode kernel (each doc is one row, so tf is complete per doc), reduce
-    to per-token (df, tf) partials, route by token hash."""
-    from pipeflow_ray.functions.text import _doc_token_tf
-
-    nb = len(buckets)
-    rows = 0
-    pending: list = []
-    for f in files:
-        for rb in pq.ParquetFile(str(f)).iter_batches(
-            batch_size=micro_batch_rows, columns=[id_col, text_col]
-        ):
-            t = pa.Table.from_batches([rb])
-            rows += t.num_rows
-            tf = _doc_token_tf(t, text_col, id_col)
-            partials = (tf.groupby("token", sort=False)
-                        .agg(df_c=(id_col, "size"), tf_c=("tf", "sum"))
-                        .reset_index())
-            b = pd.util.hash_array(partials.token.to_numpy(dtype=object)) % nb
-            pending.extend(
-                buckets[k].process.remote(partials[b == k])
-                for k in range(nb) if (b == k).any()
-            )
-            if len(pending) > 256:
-                ray.get(pending)
-                pending = []
-    if pending:
-        ray.get(pending)
-    return rows
+        out = (self.frames[0] if self.frames
+               else pd.DataFrame({"token": [], "df_c": [], "tf_c": []}, dtype=object))
+        return pd.DataFrame({"token": out["token"],
+                             "df": out["df_c"].astype(np.int64),
+                             "tf_total": out["tf_c"].astype(np.int64)})
 
 
 class StreamingVocabRunner:
@@ -2695,23 +2703,12 @@ class StreamingVocabRunner:
         self.max_replayers = max_replayers
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        files = _shard_files(parquet_path)
-        groups = _shard_groups(files, self.max_replayers)
-        actors = [_acquire(VocabBucketActor) for _ in range(self.num_buckets)]
-        rows = ray.get([
-            _replay_vocab_shard.remote(g, self.text_col, self.id_col,
-                                       micro_batch_rows, *actors)
-            for g in groups
-        ])
-        parts = [f for f in ray.get([a.flush.remote() for a in actors]) if len(f)]
-        _release(*actors)
-        vocab = (pd.concat(parts, ignore_index=True) if parts
-                 else pd.DataFrame({"token": pd.Series(dtype=object),
-                                    "df": pd.Series(dtype=np.int64),
-                                    "tf_total": pd.Series(dtype=np.int64)}))
-        metrics = {"rows": int(sum(rows)), "vocab": int(len(vocab)),
-                   "shards": len(files), "replayers": len(groups),
-                   "replayer_rows": [int(r) for r in rows]}
+        vocab, metrics = _run_on_ingest(
+            parquet_path, micro_batch_rows, num_buckets=self.num_buckets,
+            max_replayers=self.max_replayers, state=(_VocabState,),
+            columns=[self.id_col, self.text_col], key_col=None,
+            partial=_vocab_partial, partial_args=(self.text_col, self.id_col))
+        metrics["vocab"] = len(vocab)
         return vocab, metrics
 
 
@@ -2720,8 +2717,18 @@ class StreamingVocabRunner:
 # ---------------------------------------------------------------------------
 
 
-@ray.remote(num_cpus=0)
-class DedupBucketActor(_Reusable):
+def _fingerprint_partial(t: pa.Table, text_col: str, id_col: str):
+    """Normalize → 64-bit fingerprint (the SAME kernel as batch
+    ``exact_dedup``, so the two paths group identically) → (fingerprint, id)
+    ints; the content never leaves the replayer."""
+    from pipeflow_ray.functions.text import fingerprint
+
+    t = fingerprint(text_col)(t)
+    return (t["fingerprint"].to_numpy(zero_copy_only=False),
+            t[id_col].to_numpy(zero_copy_only=False).astype(np.int64))
+
+
+class _FingerprintState:
     """Seen-fingerprint state for one hash bucket: fingerprint → min doc id.
     State is O(distinct fingerprints in the bucket) int64 pairs — the content
     itself is never held, which is what makes dedup-on-ingest feasible at
@@ -2751,45 +2758,10 @@ class DedupBucketActor(_Reusable):
         )
 
 
-@ray.remote(num_cpus=0.5)
-def _replay_dedup_shard(files: list, text_col: str, id_col: str,
-                        micro_batch_rows: int, *buckets) -> int:
-    """Stream one shard group: normalize → 64-bit fingerprint (the SAME
-    kernel as batch ``exact_dedup``, so the two paths group identically) →
-    route (fingerprint, id) ints to the bucket state actors. The driver never
-    decodes a byte; per-batch futures pipeline (same-caller ordering)."""
-    from pipeflow_ray.functions.text import fingerprint
-
-    fp_fn = fingerprint(text_col)
-    nb = len(buckets)
-    rows = 0
-    pending: list = []
-    for f in files:
-        for rb in pq.ParquetFile(str(f)).iter_batches(
-            batch_size=micro_batch_rows, columns=[id_col, text_col]
-        ):
-            t = fp_fn(pa.Table.from_batches([rb]))
-            fps = t["fingerprint"].to_numpy(zero_copy_only=False)
-            ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            rows += len(ids)
-            b = fps.view(np.uint64) % np.uint64(nb)
-            pending.extend(
-                buckets[k].process.remote(fps[b == k], ids[b == k])
-                for k in range(nb)
-                if (b == k).any()
-            )
-            if len(pending) > 256:
-                ray.get(pending)
-                pending = []
-    if pending:
-        ray.get(pending)
-    return rows
-
-
 class StreamingDedupRunner:
     """Single-pass streaming exact dedup over a sharded corpus log: parallel
     shard replayers compute normalized-content fingerprints in the tasks and
-    route ONLY (fingerprint, id) int pairs to bucketed state actors; the
+    route ONLY (fingerprint, id) int pairs to bucketed states; the
     end-of-stream flush yields the min doc id per fingerprint — exactly the
     batch ``exact_dedup`` result (min-id is commutative, so shard interleaving
     cannot change it), reached in one pass with fingerprint-only state.
@@ -2804,21 +2776,12 @@ class StreamingDedupRunner:
 
     def run(self, parquet_path: str, text_col: str = "text",
             id_col: str = "doc_id", micro_batch_rows: int = 65_536):
-        files = _shard_files(parquet_path)
-        groups = _shard_groups(files, self.max_replayers)
-        actors = [_acquire(DedupBucketActor) for _ in range(self.num_buckets)]
-        rows = ray.get([
-            _replay_dedup_shard.remote(g, text_col, id_col, micro_batch_rows, *actors)
-            for g in groups
-        ])
-        parts = [f for f in ray.get([a.flush.remote() for a in actors]) if len(f)]
-        _release(*actors)
-        kept = (pd.concat(parts, ignore_index=True) if parts
-                else pd.DataFrame({"fingerprint": pd.Series(dtype=np.int64),
-                                   "doc_id": pd.Series(dtype=np.int64)}))
-        metrics = {"rows": int(sum(rows)), "kept": int(len(kept)),
-                   "shards": len(files), "replayers": len(groups),
-                   "replayer_rows": [int(r) for r in rows]}
+        kept, metrics = _run_on_ingest(
+            parquet_path, micro_batch_rows, num_buckets=self.num_buckets,
+            max_replayers=self.max_replayers, state=(_FingerprintState,),
+            columns=[id_col, text_col], key_col=None,
+            partial=_fingerprint_partial, partial_args=(text_col, id_col))
+        metrics["kept"] = len(kept)
         return kept, metrics
 
 
@@ -2828,8 +2791,27 @@ class StreamingDedupRunner:
 # ---------------------------------------------------------------------------
 
 
-@ray.remote(num_cpus=0)
-class HLLBucketActor(_Reusable):
+def _hll_partial(t: pa.Table, key_col: str, value_col: str, p: int):
+    """Hash the value column once per micro-batch (pd.util.hash_array — the
+    same deterministic 64-bit hash on every worker) and fold each key
+    group's hashes into a fresh register array: (key, rowcount, registers).
+    Raw values never leave the replayer."""
+    from pipeflow_ray.functions.sketches import HyperLogLog
+
+    df = t.to_pandas()
+    hashes = pd.util.hash_array(df[value_col].to_numpy())
+    keys, ns, regs = [], [], []
+    for kv, idx in df.groupby(key_col, sort=False).indices.items():
+        h = HyperLogLog(p)
+        h.add_hashes(hashes[idx])
+        keys.append(kv)
+        ns.append(len(idx))
+        regs.append(h.registers.tobytes())
+    return (pd.Series(keys).to_numpy(dtype=object), np.array(ns, np.int64),
+            np.array(regs, dtype=object))
+
+
+class _HLLState:
     """Per-key HyperLogLog register state for one hash bucket of keys.
     Merge is element-wise max — associative/commutative, so shard
     interleaving yields BIT-IDENTICAL registers to a single sequential pass
@@ -2837,21 +2819,21 @@ class HLLBucketActor(_Reusable):
     ordering). State is exactly ``2^p`` bytes per key plus an int64 row
     count, independent of stream length or value cardinality."""
 
-    def __init__(self, p: int = 12):
+    def __init__(self, p: int):
         self.p = p
         self.regs: dict = {}
         self.counts: dict = {}
 
-    def process(self, keys: list, counts: np.ndarray, regs: list) -> None:
-        for k, c, raw in zip(keys, counts.tolist(), regs):
+    def process(self, keys: np.ndarray, counts: np.ndarray, regs: np.ndarray) -> None:
+        for k, c, raw in zip(keys.tolist(), counts.tolist(), regs.tolist()):
             arr = np.frombuffer(raw, np.uint8)
             cur = self.regs.get(k)
             if cur is None:
                 self.regs[k] = arr.copy()
-                self.counts[k] = int(c)
+                self.counts[k] = c
             else:
                 np.maximum(cur, arr, out=cur)
-                self.counts[k] += int(c)
+                self.counts[k] += c
 
     def flush(self) -> pd.DataFrame:
         from pipeflow_ray.functions.sketches import HyperLogLog
@@ -2863,7 +2845,7 @@ class HLLBucketActor(_Reusable):
             keys.append(k)
             ns.append(self.counts[k])
             ests.append(h.estimate())
-        return pd.DataFrame({"key": keys,
+        return pd.DataFrame({"key": pd.Series(keys),
                              "n": np.array(ns, np.int64),
                              "approx_distinct": np.array(ests, np.float64)})
 
@@ -2871,54 +2853,12 @@ class HLLBucketActor(_Reusable):
         return int(sum(r.nbytes for r in self.regs.values()))
 
 
-@ray.remote(num_cpus=0.5)
-def _replay_hll_shard(files: list, key_col: str, value_col: str, p: int,
-                      micro_batch_rows: int, *buckets) -> int:
-    """Stream one shard group: hash the value column once per micro-batch
-    (pd.util.hash_array — the same deterministic 64-bit hash on every
-    worker), fold each key group's hashes into a fresh register array, and
-    route (key, rowcount, registers) to the key's bucket actor. Raw values
-    never leave the replayer."""
-    from pipeflow_ray.functions.sketches import HyperLogLog
-
-    nb = len(buckets)
-    rows = 0
-    pending: list = []
-    for f in files:
-        for rb in pq.ParquetFile(str(f)).iter_batches(
-            batch_size=micro_batch_rows, columns=[key_col, value_col]
-        ):
-            df = pa.Table.from_batches([rb]).to_pandas()
-            rows += len(df)
-            hashes = pd.util.hash_array(df[value_col].to_numpy())
-            per_bucket: dict = {}
-            for kv, idx in df.groupby(key_col, sort=False).indices.items():
-                h = HyperLogLog(p)
-                h.add_hashes(hashes[idx])
-                b = int(pd.util.hash_array(
-                    np.array([kv], dtype=object))[0] % np.uint64(nb))
-                ks, cs, rs = per_bucket.setdefault(b, ([], [], []))
-                ks.append(kv)
-                cs.append(len(idx))
-                rs.append(h.registers.tobytes())
-            pending.extend(
-                buckets[b].process.remote(ks, np.array(cs, np.int64), rs)
-                for b, (ks, cs, rs) in per_bucket.items()
-            )
-            if len(pending) > 256:
-                ray.get(pending)
-                pending = []
-    if pending:
-        ray.get(pending)
-    return rows
-
-
 class StreamingHLLRunner:
     """Single-pass streaming per-key approximate-distinct on ingest: the
     aggregate-on-ingest sibling of :class:`StreamingVocabRunner` /
     :class:`StreamingDedupRunner` for cardinality telemetry (distinct users
     per tenant, distinct prompts per role, ...). Replayers shrink each
-    micro-batch to one ``2^p``-byte register array per key; bucket actors
+    micro-batch to one ``2^p``-byte register array per key; bucket states
     merge by element-wise max — state is O(keys · 2^p) bytes regardless of
     stream length, where exact distinct (``StreamingDedupRunner``) holds
     O(distinct) ints. Standard error ≈ 1.04/√(2^p) (p=12 → ~1.6%); the row
@@ -2935,28 +2875,14 @@ class StreamingHLLRunner:
         self.max_replayers = max_replayers
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        files = _shard_files(parquet_path)
-        groups = _shard_groups(files, self.max_replayers)
-        actors = [_acquire(HLLBucketActor, self.p) for _ in range(self.num_buckets)]
-        rows = ray.get([
-            _replay_hll_shard.remote(g, self.key_col, self.value_col, self.p,
-                                     micro_batch_rows, *actors)
-            for g in groups
-        ])
-        parts = [f for f in ray.get([a.flush.remote() for a in actors]) if len(f)]
-        state = int(sum(ray.get([a.state_size.remote() for a in actors])))
-        _release(*actors)
-        if parts:
-            result = pd.concat(parts, ignore_index=True) \
-                .rename(columns={"key": self.key_col})
-        else:
-            result = pd.DataFrame({self.key_col: pd.Series(dtype=object),
-                                   "n": pd.Series(dtype=np.int64),
-                                   "approx_distinct": pd.Series(dtype=np.float64)})
-        metrics = {"rows": int(sum(rows)), "keys": int(len(result)),
-                   "state_bytes": state, "shards": len(files),
-                   "replayers": len(groups),
-                   "replayer_rows": [int(r) for r in rows]}
+        result, metrics = _run_on_ingest(
+            parquet_path, micro_batch_rows, num_buckets=self.num_buckets,
+            max_replayers=self.max_replayers, state=(_HLLState, self.p),
+            columns=[self.key_col, self.value_col], key_col=self.key_col,
+            partial=_hll_partial, partial_args=(self.key_col, self.value_col, self.p),
+            state_metric="state_bytes")
+        result = result.rename(columns={"key": self.key_col})
+        metrics["keys"] = len(result)
         return result, metrics
 
 
@@ -2966,8 +2892,14 @@ class StreamingHLLRunner:
 # ---------------------------------------------------------------------------
 
 
-@ray.remote(num_cpus=0)
-class TopKBucketActor(_Reusable):
+def _key_count_partial(t: pa.Table, key_col: str):
+    """Per micro-batch exact key counts (the combiner — the state sees one
+    partial per key per batch)."""
+    vc = t[key_col].to_pandas().value_counts()
+    return vc.index.to_numpy(dtype=object), vc.to_numpy()
+
+
+class _SpaceSavingState:
     """Space-saving summary (Metwally et al., mergeable batched variant) for
     one hash bucket of keys. Holds at most *m* (key → [count_upper, err])
     entries; a batch partial (key, cnt) either adds to an existing entry,
@@ -2978,7 +2910,7 @@ class TopKBucketActor(_Reusable):
     Each key lives in exactly ONE bucket (hash routing), so per-bucket
     guarantees compose by union — no cross-bucket merge is needed."""
 
-    def __init__(self, m: int = 256):
+    def __init__(self, m: int):
         self.m = m
         self.state: dict = {}  # key -> [count_upper, err]
         self.rows = 0
@@ -2991,10 +2923,10 @@ class TopKBucketActor(_Reusable):
         self.heap: list = []
         self.seq = 0
 
-    def process(self, keys: list, counts: np.ndarray) -> None:
+    def process(self, keys: np.ndarray, counts: np.ndarray) -> None:
         state, m, heap, seq = self.state, self.m, self.heap, self.seq
         self.rows += int(counts.sum())
-        for k, c in zip(keys, counts.tolist()):
+        for k, c in zip(keys.tolist(), counts.tolist()):
             cur = state.get(k)
             if cur is not None:
                 cur[0] += c
@@ -3015,41 +2947,9 @@ class TopKBucketActor(_Reusable):
 
     def flush(self) -> pd.DataFrame:
         ks = list(self.state.keys())
-        arr = (np.array(list(self.state.values()), np.int64).reshape(-1, 2)
-               if ks else np.empty((0, 2), np.int64))
-        return pd.DataFrame({"key": ks, "est": arr[:, 0], "err": arr[:, 1],
-                             "bucket_rows": np.full(len(ks), self.rows,
-                                                    np.int64)})
-
-
-@ray.remote(num_cpus=0.5)
-def _replay_topk_shard(files: list, key_col: str, micro_batch_rows: int,
-                       *buckets) -> int:
-    """Stream one shard group: per micro-batch exact key counts (the
-    combiner — the actor sees one partial per key per batch), routed by the
-    same deterministic key hash as every other on-ingest runner."""
-    nb = len(buckets)
-    rows = 0
-    pending: list = []
-    for f in files:
-        for rb in pq.ParquetFile(str(f)).iter_batches(
-            batch_size=micro_batch_rows, columns=[key_col]
-        ):
-            vc = pa.Table.from_batches([rb])[key_col].to_pandas().value_counts()
-            rows += int(vc.sum())
-            keys = vc.index.to_numpy(dtype=object)
-            b = pd.util.hash_array(keys) % np.uint64(nb)
-            pending.extend(
-                buckets[k].process.remote(list(keys[b == k]),
-                                          vc.to_numpy()[b == k])
-                for k in range(nb) if (b == k).any()
-            )
-            if len(pending) > 256:
-                ray.get(pending)
-                pending = []
-    if pending:
-        ray.get(pending)
-    return rows
+        arr = np.array(list(self.state.values()), np.int64).reshape(-1, 2)
+        return pd.DataFrame({"key": pd.Series(ks), "est": arr[:, 0], "err": arr[:, 1],
+                             "bucket_rows": np.full(len(ks), self.rows, np.int64)})
 
 
 class StreamingTopKRunner:
@@ -3072,31 +2972,15 @@ class StreamingTopKRunner:
         self.max_replayers = max_replayers
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        files = _shard_files(parquet_path)
-        groups = _shard_groups(files, self.max_replayers)
-        actors = [_acquire(TopKBucketActor, self.m)
-                  for _ in range(self.num_buckets)]
-        rows = ray.get([
-            _replay_topk_shard.remote(g, self.key_col, micro_batch_rows,
-                                      *actors)
-            for g in groups
-        ])
-        parts = [f for f in ray.get([a.flush.remote() for a in actors])
-                 if len(f)]
-        _release(*actors)
-        if parts:
-            result = pd.concat(parts, ignore_index=True) \
-                .rename(columns={"key": self.key_col}) \
-                .sort_values("est", ascending=False, ignore_index=True)
-        else:
-            result = pd.DataFrame({self.key_col: pd.Series(dtype=object),
-                                   "est": pd.Series(dtype=np.int64),
-                                   "err": pd.Series(dtype=np.int64),
-                                   "bucket_rows": pd.Series(dtype=np.int64)})
-        metrics = {"rows": int(sum(rows)), "retained": int(len(result)),
-                   "state_cap": self.num_buckets * self.m,
-                   "shards": len(files), "replayers": len(groups),
-                   "replayer_rows": [int(r) for r in rows]}
+        result, metrics = _run_on_ingest(
+            parquet_path, micro_batch_rows, num_buckets=self.num_buckets,
+            max_replayers=self.max_replayers, state=(_SpaceSavingState, self.m),
+            columns=[self.key_col], key_col=self.key_col,
+            partial=_key_count_partial, partial_args=(self.key_col,))
+        result = (result.rename(columns={"key": self.key_col})
+                  .sort_values("est", ascending=False, ignore_index=True))
+        metrics["retained"] = len(result)
+        metrics["state_cap"] = self.num_buckets * self.m
         return result, metrics
 
 
@@ -3115,8 +2999,26 @@ class StreamingTopKRunner:
 _MASK64 = (1 << 64) - 1
 
 
-@ray.remote(num_cpus=0)
-class ConvSigBucketActor(_Reusable):
+def _conv_sig_partial(t: pa.Table, key_col: str, order_col: str, sig_cols: list):
+    """Mix row hashes (the shared batch kernel) and pre-reduce to one
+    (conv, partial_sig, n) row per conversation: only conv-sized int rows
+    leave the replayer."""
+    from pipeflow_ray.functions.dedup import conv_row_mix
+
+    df = t.to_pandas()
+    mixed = conv_row_mix(df, order_col, sig_cols)
+    keys = df[key_col].to_numpy()
+    order = np.argsort(keys, kind="stable")
+    ks, ms = keys[order], mixed[order]
+    brk = np.empty(len(ks), dtype=bool)
+    brk[0] = True
+    brk[1:] = ks[1:] != ks[:-1]
+    starts = np.flatnonzero(brk)
+    return (ks[starts], np.add.reduceat(ms, starts).view(np.int64),  # uint64 wraps
+            np.diff(np.append(starts, len(ks))).astype(np.int64))
+
+
+class _ConvSigState:
     """Per-conversation accumulating signature state for one key bucket."""
 
     def __init__(self):
@@ -3125,7 +3027,7 @@ class ConvSigBucketActor(_Reusable):
 
     def process(self, keys: np.ndarray, sigs: np.ndarray, ns: np.ndarray) -> None:
         # inputs are already pre-reduced to one row per conv per micro-batch
-        # (the DedupBucketActor pattern: the loop touches DISTINCT convs only)
+        # (the _FingerprintState pattern: the loop touches DISTINCT convs only)
         sig, n = self.sig, self.n
         for k, s, c in zip(keys.tolist(), sigs.tolist(), ns.tolist()):
             sig[k] = (sig.get(k, 0) + (s & _MASK64)) & _MASK64
@@ -3141,62 +3043,15 @@ class ConvSigBucketActor(_Reusable):
         })
 
 
-@ray.remote(num_cpus=0.5)
-def _replay_conv_shard(files: list, key_col: str, order_col: str,
-                       sig_cols: list, micro_batch_rows: int, *buckets) -> int:
-    """Stream one shard group: per micro-batch, mix row hashes (the shared
-    batch kernel), pre-reduce to one (conv, partial_sig, n) row per conv,
-    route by hash(conv) to the bucket state actors. Only conv-sized int
-    rows leave the task."""
-    from pipeflow_ray.functions.dedup import conv_row_mix
-
-    nb = len(buckets)
-    rows = 0
-    pending: list = []
-    cols = [key_col, order_col, *sig_cols]
-    for f in files:
-        for rb in pq.ParquetFile(str(f)).iter_batches(
-            batch_size=micro_batch_rows, columns=cols
-        ):
-            df = pa.Table.from_batches([rb]).to_pandas()
-            rows += len(df)
-            if not len(df):
-                continue
-            mixed = conv_row_mix(df, order_col, sig_cols)
-            keys = df[key_col].to_numpy()
-            order = np.argsort(keys, kind="stable")
-            ks, ms = keys[order], mixed[order]
-            brk = np.empty(len(ks), dtype=bool)
-            brk[0] = True
-            brk[1:] = ks[1:] != ks[:-1]
-            starts = np.flatnonzero(brk)
-            psig = np.add.reduceat(ms, starts)  # uint64 wraps
-            pn = np.diff(np.append(starts, len(ks))).astype(np.int64)
-            kconv = ks[starts]
-            b = (pd.util.hash_pandas_object(pd.Series(kconv), index=False)
-                 .to_numpy() % np.uint64(nb))
-            pending.extend(
-                buckets[k].process.remote(
-                    kconv[b == k], psig[b == k].view(np.int64), pn[b == k])
-                for k in range(nb)
-                if (b == k).any()
-            )
-            if len(pending) > 256:
-                ray.get(pending)
-                pending = []
-    if pending:
-        ray.get(pending)
-    return rows
-
-
 class StreamingConvDedupRunner:
     """Single-pass streaming conversation template dedup: parallel shard
-    replayers → conv-bucketed signature state actors → end-of-stream flush →
-    one signature-keyed exchange for the group-min (the flushed frames go
+    replayers → conv-bucketed signature states → end-of-stream flush → one
+    signature-keyed exchange for the group-min (the flushed frames go
     straight from the actors into the exchange as object refs — the driver
     never holds the conversation table). Result ≡ batch
     ``conv_template_dedup`` under any shard interleaving (commutative
-    combine; tested)."""
+    combine; tested). Rows with a null conversation id are dropped and
+    counted (``null_key_rows``)."""
 
     def __init__(self, num_buckets: int = 8, max_replayers: int = 16,
                  sig_cols: list | None = None):
@@ -3214,17 +3069,12 @@ class StreamingConvDedupRunner:
         )
         from pipeflow_ray.stages.core import grouped_by_bucket
 
-        files = _shard_files(parquet_path)
-        groups = _shard_groups(files, self.max_replayers)
-        actors = [_acquire(ConvSigBucketActor) for _ in range(self.num_buckets)]
-        rows = ray.get([
-            _replay_conv_shard.remote(g, key_col, order_col, self.sig_cols,
-                                      micro_batch_rows, *actors)
-            for g in groups
-        ])
-        refs = [a.flush.remote() for a in actors]
-        ray.wait(refs, num_returns=len(refs), fetch_local=False)
-        _release(*actors)
+        refs, metrics = _run_on_ingest(
+            parquet_path, micro_batch_rows, num_buckets=self.num_buckets,
+            max_replayers=self.max_replayers, state=(_ConvSigState,),
+            columns=[key_col, order_col, *self.sig_cols], key_col=key_col,
+            partial=_conv_sig_partial,
+            partial_args=(key_col, order_col, self.sig_cols), fetch=False)
         sigs = _rd.from_pandas_refs(refs)
 
         def _canon(df: pd.DataFrame) -> pd.DataFrame:
@@ -3240,7 +3090,4 @@ class StreamingConvDedupRunner:
             (key_col, pa.string()), (f"canonical_{key_col}", pa.string()),
             ("is_dup", pa.int64()), ("group_size", pa.int64()),
         ]))
-        metrics = {"rows": int(sum(rows)), "shards": len(files),
-                   "replayers": len(groups),
-                   "replayer_rows": [int(r) for r in rows]}
         return out, metrics

@@ -8,9 +8,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+import pytest
 import ray
 import ray.data
 
+from pipeflow_ray.pipelines import streaming
 from pipeflow_ray.pipelines.flagship import flagship_pipeline, normalize, session_stats
 from pipeflow_ray.pipelines.streaming import SessionBucketActor, StreamingSessionRunner
 
@@ -582,6 +584,88 @@ def test_streaming_conv_dedup_equals_batch_across_shards(tmp_path):
     assert batch.is_dup.sum() >= 20  # dup groups exist (5 of each template)
 
 
+def _ingest_table(with_null_keys: bool) -> pa.Table:
+    """Six turns over two conversations, plus (optionally) turns whose
+    conv_id is null; carries every column the on-ingest runners read."""
+    rows = [("a", 0, "user", None, 3, "x y"), ("b", 0, "user", "t", 5, "y z"),
+            ("a", 1, "assistant", None, 4, "x y"), ("b", 1, "assistant", "u", 6, "z"),
+            ("a", 2, "user", "t", 4, "w"), ("b", 2, "user", None, 8, "x y")]
+    if with_null_keys:
+        rows[1:1] = [(None, 0, "user", None, 7, "q")]
+        rows[5:5] = [(None, 1, "assistant", "t", 9, "x y")]
+    cols = list(zip(*rows))
+    return pa.table({
+        "conv_id": pa.array(cols[0], pa.string()), "turn_idx": pa.array(cols[1], pa.int64()),
+        "role": pa.array(cols[2], pa.string()), "tool": pa.array(cols[3], pa.string()),
+        "value": pa.array(cols[4], pa.int64()), "text": pa.array(cols[5], pa.string()),
+        "doc_id": pa.array(range(len(rows)), pa.int64()),
+    })
+
+
+def _write_two_shards(table: pa.Table, d) -> str:
+    d.mkdir()
+    half = (table.num_rows + 1) // 2
+    pq.write_table(table.slice(0, half), d / "part-0.parquet")
+    pq.write_table(table.slice(half), d / "part-1.parquet")
+    return str(d)
+
+
+def _conv_frame(out, metrics):
+    return out.to_pandas(), metrics
+
+
+_ON_INGEST_RUNNERS = {
+    "quantile": lambda p: streaming.StreamingQuantileRunner(
+        "conv_id", columns=["conv_id", "value"], num_buckets=2).run(p),
+    "kll": lambda p: streaming.StreamingSketchQuantileRunner(
+        "conv_id", columns=["conv_id", "value"], num_buckets=2).run(p),
+    "hll": lambda p: streaming.StreamingHLLRunner("conv_id", "value", num_buckets=2).run(p),
+    "topk": lambda p: streaming.StreamingTopKRunner("conv_id", m=4, num_buckets=2).run(p),
+    "conv_dedup": lambda p: _conv_frame(*streaming.StreamingConvDedupRunner(num_buckets=2).run(p)),
+    "vocab": lambda p: streaming.StreamingVocabRunner(num_buckets=2).run(p),
+    "dedup": lambda p: streaming.StreamingDedupRunner(num_buckets=2).run(p),
+}
+
+
+@pytest.mark.parametrize("family", ["quantile", "kll", "hll", "topk", "conv_dedup"])
+def test_on_ingest_null_keys_are_dropped_and_counted(tmp_path, family):
+    """Rows whose key is null are dropped before the per-batch partial and
+    counted in ``null_key_rows``; every input row counts in ``rows``, and
+    the output equals the run over the same input without those rows."""
+    run = _ON_INGEST_RUNNERS[family]
+    got, metrics = run(_write_two_shards(_ingest_table(True), tmp_path / "nulls"))
+    ref, ref_metrics = run(_write_two_shards(_ingest_table(False), tmp_path / "clean"))
+    assert metrics["rows"] == 8 and metrics["null_key_rows"] == 2
+    assert ref_metrics["rows"] == 6 and ref_metrics["null_key_rows"] == 0
+    pd.testing.assert_frame_equal(got.sort_values("conv_id", ignore_index=True),
+                                  ref.sort_values("conv_id", ignore_index=True))
+
+
+@pytest.mark.parametrize("family", sorted(_ON_INGEST_RUNNERS))
+def test_on_ingest_empty_input_keeps_output_types(tmp_path, family):
+    """An empty input yields no row, but the same columns and types as a
+    non-empty run (conv dedup: the same Dataset schema)."""
+    table = _ingest_table(False)
+    empty_dir, full_dir = tmp_path / "empty", tmp_path / "full"
+    empty_dir.mkdir()
+    pq.write_table(table.slice(0, 0), empty_dir / "part-0.parquet")
+    full_dir.mkdir()
+    pq.write_table(table, full_dir / "part-0.parquet")
+    if family == "conv_dedup":
+        runner = streaming.StreamingConvDedupRunner(num_buckets=2)
+        empty, metrics = runner.run(str(empty_dir))
+        full, _ = runner.run(str(full_dir))
+        assert empty.count() == 0 and full.count() == 2
+        es, fs = empty.schema(), full.schema()
+        assert dict(zip(es.names, es.types)) == dict(zip(fs.names, fs.types))
+    else:
+        empty, metrics = _ON_INGEST_RUNNERS[family](str(empty_dir))
+        full, _ = _ON_INGEST_RUNNERS[family](str(full_dir))
+        assert len(empty) == 0 and len(full) > 0
+        assert empty.dtypes.to_dict() == full.dtypes.to_dict()
+    assert metrics["rows"] == 0 and metrics["null_key_rows"] == 0
+
+
 # ---------------------------------------------------------------------------
 # Warm actor cache: a run hands its actors back on normal completion, and
 # the next run in the session resets them with ``reinit`` instead of
@@ -717,7 +801,7 @@ def test_streaming_import_does_not_load_ray_data():
 
 
 def _topk_min_scan(batches, m: int) -> pd.DataFrame:
-    """Space-saving as TopKBucketActor.process computed it before the heap:
+    """Space-saving as the top-k bucket state computed it before the heap:
     a full scan for the minimum on every eviction."""
     state: dict = {}
     rows = 0
@@ -741,21 +825,17 @@ def _topk_min_scan(batches, m: int) -> pd.DataFrame:
 def test_topk_heap_eviction_equals_min_scan():
     """Random batches with many count ties: the heap evicts the same key as
     the min scan every time, so state, counts, errors and order agree."""
-    from pipeflow_ray.pipelines.streaming import TopKBucketActor
+    from pipeflow_ray.pipelines.streaming import _SpaceSavingState
 
     rng = np.random.default_rng(11)
-    actor = TopKBucketActor.remote(1)
-    try:
-        for m in (1, 3, 17):
-            batches = []
-            for _ in range(60):
-                n = int(rng.integers(1, 40))
-                keys = [f"k{int(x)}" for x in rng.choice(90, size=n, replace=False)]
-                batches.append((keys, rng.integers(1, 4, size=n)))
-            ray.get(actor.reinit.remote(m))
-            for keys, counts in batches:
-                actor.process.remote(keys, counts)
-            got = ray.get(actor.flush.remote())
-            pd.testing.assert_frame_equal(got, _topk_min_scan(batches, m))
-    finally:
-        ray.kill(actor)
+    for m in (1, 3, 17):
+        batches = []
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            keys = np.array([f"k{int(x)}" for x in rng.choice(90, size=n, replace=False)],
+                            dtype=object)
+            batches.append((keys, rng.integers(1, 4, size=n)))
+        state = _SpaceSavingState(m)
+        for keys, counts in batches:
+            state.process(keys, counts)
+        pd.testing.assert_frame_equal(state.flush(), _topk_min_scan(batches, m))
