@@ -351,13 +351,15 @@ def _candidate_id_filter(pairs: ray.data.Dataset, id_col: str):
     ride the filter closure, and each worker assembles the union once. The
     id set is O(candidate docs) int64s — at 1B docs with 0.1% candidates
     ~8 MB per worker."""
+    from pipeflow_ray.stages.core import block_refs
+
     def _ids_batch(t: pa.Table) -> pa.Table:
         a = t["id_a"].to_numpy(zero_copy_only=False)
         b = t["id_b"].to_numpy(zero_copy_only=False)
         return pa.table({"i": pa.array(np.unique(np.concatenate([a, b])), pa.int64())})
 
     ids = pairs.map_batches(_ids_batch, batch_format="pyarrow").materialize()
-    refs = tuple(ids.to_arrow_refs())  # refs only — no driver block fetch
+    refs = tuple(block_refs(ids))  # refs only — no driver block fetch
     n_upper = ids.count()  # metadata rows: per-block-distinct upper bound
 
     def _filter(t: pa.Table) -> pa.Table:
@@ -389,9 +391,9 @@ def _stable_empty(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
     ds = ds.materialize()
     if ds.count() == 0:
         return ray.data.from_arrow(schema.empty_table())
-    from pipeflow_ray.stages.core import _nrows_task
+    from pipeflow_ray.stages.core import _nrows_task, block_refs
 
-    refs = ds.to_arrow_refs()
+    refs = block_refs(ds)
     counts = ray.get([_nrows_task.remote(r) for r in refs])
     keep = [r for r, n in zip(refs, counts) if n > 0]
     return ray.data.from_arrow_refs(keep)

@@ -93,7 +93,12 @@ def _collect_arrow(ds: ray.data.Dataset) -> pa.Table:
     Arrow table, so its vector column reaches :func:`_list_matrix` as list
     buffers rather than as per-row ndarray cells of a pandas frame. A
     Dataset without rows gives a table without columns."""
-    tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    from ray.data.block import BlockAccessor
+
+    from pipeflow_ray.stages.core import block_refs
+
+    tables = [t for t in (BlockAccessor.for_block(b).to_arrow()
+                          for b in ray.get(block_refs(ds))) if t.num_rows]
     return pa.concat_tables(tables) if tables else pa.table({})
 
 

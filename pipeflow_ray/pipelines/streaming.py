@@ -2427,7 +2427,7 @@ class IngestBucketActor(_Reusable):
     def process(self, *arrays) -> None:
         self.state.process(*arrays)
 
-    def flush(self) -> pd.DataFrame:
+    def flush(self) -> "pd.DataFrame | pa.Table":
         return self.state.flush()
 
     def state_size(self) -> int:
@@ -3033,13 +3033,16 @@ class _ConvSigState:
             sig[k] = (sig.get(k, 0) + (s & _MASK64)) & _MASK64
             n[k] = n.get(k, 0) + c
 
-    def flush(self) -> pd.DataFrame:
-        keys = list(self.sig.keys())
-        sig_u = np.fromiter(self.sig.values(), np.uint64, len(keys))
-        return pd.DataFrame({
-            "__key": pd.array(keys, dtype="string"),
-            "sig_h": sig_u.view(np.int64),
-            "n_turns": np.fromiter(self.n.values(), np.int64, len(keys)),
+    def flush(self) -> pa.Table:
+        # an Arrow table typed at any row count: Ray measures a zero-row
+        # pandas "string" column only with a logged error per empty bucket.
+        # Keys travel as strings, the output type of the batch operator.
+        n = len(self.sig)
+        sig_u = np.fromiter(self.sig.values(), np.uint64, n)
+        return pa.table({
+            "__key": pa.array([str(k) for k in self.sig], pa.string()),
+            "sig_h": pa.array(sig_u.view(np.int64), pa.int64()),
+            "n_turns": pa.array(np.fromiter(self.n.values(), np.int64, n), pa.int64()),
         })
 
 
@@ -3075,14 +3078,10 @@ class StreamingConvDedupRunner:
             columns=[key_col, order_col, *self.sig_cols], key_col=key_col,
             partial=_conv_sig_partial,
             partial_args=(key_col, order_col, self.sig_cols), fetch=False)
-        sigs = _rd.from_pandas_refs(refs)
+        sigs = _rd.from_arrow_refs(refs)
 
         def _canon(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.rename(columns={"__key": key_col})
-            # extension "string" dtype was only for empty-frame schema
-            # stability in transport; emit object like the batch operator
-            df[key_col] = df[key_col].astype(object)
-            return _conv_canon_fn(key_col)(df)
+            return _conv_canon_fn(key_col)(df.rename(columns={"__key": key_col}))
 
         out = grouped_by_bucket(sigs, ["sig_h"], _canon,
                                 self.num_buckets, batch_format="pandas")

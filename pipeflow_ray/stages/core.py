@@ -164,42 +164,30 @@ def add_bucket_column(key_cols: list[str], num_buckets: int = DEFAULT_BUCKETS, o
 
 
 @ray.remote
-def _split_task(key_cols: list[str], num_buckets: int, *tbls: pa.Table):
-    """Split one or more blocks into per-bucket zero-copy slices by key hash.
+def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
+                      level: int, *blocks):
+    """Split one or more blocks into zero-copy slices by key hash. The final
+    bucket of a row is ``b = hash(key) % num_buckets``; level 0 routes by
+    group ``b // fanout`` (num_returns = ⌈num_buckets/fanout⌉), level 1 by
+    ``b % fanout`` (num_returns = fanout). The flat exchange is level 1 with
+    ``fanout = num_buckets`` (``b % num_buckets == b``); the hierarchical
+    exchange runs level 0 then level 1 on the SAME full hash, so the two
+    rounds compose into the flat partition.
+
     Accepts SEVERAL upstream blocks so tiny-block datasets (default reads,
     post-materialize splits) cost one split task per ~num_buckets blocks, not
     one per block — 190 blocks × 64 slices of per-object overhead measured
-    ~2× the whole exchange wall at sf0.1."""
+    ~2× the whole exchange wall at sf0.1. Blocks come in whatever format
+    their producer made (pandas from ``from_pandas_refs`` or a pandas UDF)
+    and turn into Arrow here, a no-op for Arrow blocks."""
+    from ray.data.block import BlockAccessor
+
+    tbls = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    n_out = (num_buckets + fanout - 1) // fanout if level == 0 else fanout
     nonempty = [t for t in tbls if t.num_rows]
     if not nonempty:
         # empty blocks can carry an unstable schema (e.g. after a built-in
         # join); never try to select key columns from them
-        tbl = max(tbls, key=lambda t: t.num_columns)
-        out = tuple(tbl.slice(0, 0) for _ in range(num_buckets))
-        return out if num_buckets > 1 else out[0]
-    tbl = nonempty[0] if len(nonempty) == 1 else pa.concat_tables(
-        nonempty, promote_options="default")
-    df = tbl.select(key_cols).to_pandas()
-    h = pd.util.hash_pandas_object(df, index=False).to_numpy() % num_buckets
-    order = np.argsort(h, kind="stable")
-    t = tbl.take(pa.array(order))
-    hs = h[order]
-    bounds = np.searchsorted(hs, np.arange(num_buckets + 1))
-    out = tuple(t.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(num_buckets))
-    return out if num_buckets > 1 else out[0]
-
-
-@ray.remote
-def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
-                      level: int, *tbls: pa.Table):
-    """One level of the HIERARCHICAL exchange. The final bucket of a row is
-    ``b = hash(key) % num_buckets``; level 0 routes by group ``b // fanout``
-    (num_returns = ⌈num_buckets/fanout⌉), level 1 routes a group's rows by
-    ``b % fanout`` (num_returns = fanout). Both levels share the SAME full
-    hash, so the two rounds compose into the flat partition."""
-    n_out = (num_buckets + fanout - 1) // fanout if level == 0 else fanout
-    nonempty = [t for t in tbls if t.num_rows]
-    if not nonempty:
         tbl = max(tbls, key=lambda t: t.num_columns)
         out = tuple(tbl.slice(0, 0) for _ in range(n_out))
         return out if n_out > 1 else out[0]
@@ -324,12 +312,28 @@ def exchange_keyed(ds, key_cols: list[str], num_buckets: int | None = None) -> K
     return KeyedBuckets(hash_exchange(ds, key_cols, num_buckets), key_cols)
 
 
+def block_refs(ds) -> list:
+    """The block refs of *ds* from ONE run of its plan; a
+    ``MaterializedDataset`` already holds its blocks and runs nothing. A
+    block keeps the format its producer gave it (pandas from
+    ``from_pandas_refs`` or a pandas UDF): read it through
+    ``BlockAccessor.for_block(b).to_arrow()`` where Arrow is needed.
+
+    Not ``Dataset.to_arrow_refs``: in Ray 2.49 that call runs the plan,
+    then asks for the schema, and a lazy plan ending in a UDF has none
+    cached, so the schema call runs the plan a SECOND time up to its first
+    block and then cancels that run's in-flight tasks."""
+    return [ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs]
+
+
 def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
                   max_flat_buckets: int = MAX_FLAT_BUCKETS):
     """Explicit map-side hash exchange built on raw Ray tasks: each upstream
     block is split once into per-bucket slices (single stable argsort on the
     key hash, zero-copy slices); the caller reduces each bucket from its
-    scattered slices.
+    scattered slices. The upstream plan runs exactly once, here
+    (:func:`block_refs`); its blocks may be Arrow or pandas, and the split
+    task turns them into Arrow, so every slice is a ``pa.Table``.
 
     This is the engine's keyed all-to-all when no sort order is needed —
     measured ~2× faster end-to-end than ``groupby(bucket).map_groups`` (Ray's
@@ -366,7 +370,7 @@ def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
         return ds.buckets
     if num_buckets is None:
         num_buckets = default_buckets()
-    refs = ds.to_arrow_refs()
+    refs = block_refs(ds)
     if not refs:
         return [[] for _ in range(num_buckets)]
     # coalesce tiny upstream blocks: bounded split-task count, each task
@@ -377,7 +381,8 @@ def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
 
     if num_buckets <= max_flat_buckets:
         parts = [
-            _split_task.options(num_returns=num_buckets).remote(key_cols, num_buckets, *g)
+            _split_level_task.options(num_returns=num_buckets).remote(
+                key_cols, num_buckets, num_buckets, 1, *g)
             for g in groups
         ]
         if num_buckets == 1:

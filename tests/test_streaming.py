@@ -584,6 +584,25 @@ def test_streaming_conv_dedup_equals_batch_across_shards(tmp_path):
     assert batch.is_dup.sum() >= 20  # dup groups exist (5 of each template)
 
 
+def test_conv_sig_flush_is_typed_arrow_at_any_size():
+    """A conversation-signature bucket flushes one typed Arrow table, also
+    with no input (a zero-row pandas "string" column makes Ray log an error
+    per empty bucket when it sizes the block)."""
+    import numpy as np
+
+    schema = pa.schema([("__key", pa.string()), ("sig_h", pa.int64()),
+                        ("n_turns", pa.int64())])
+    assert streaming._ConvSigState().flush().schema == schema
+    state = streaming._ConvSigState()
+    state.process(np.array(["a", "b"], dtype=object),
+                  np.array([-1, 5], np.int64), np.array([2, 3], np.int64))
+    state.process(np.array(["a"], dtype=object), np.array([1], np.int64),
+                  np.array([1], np.int64))
+    out = state.flush()
+    assert out.schema == schema
+    assert out.to_pydict() == {"__key": ["a", "b"], "sig_h": [0, 5], "n_turns": [3, 3]}
+
+
 def _ingest_table(with_null_keys: bool) -> pa.Table:
     """Six turns over two conversations, plus (optionally) turns whose
     conv_id is null; carries every column the on-ingest runners read."""
