@@ -13,9 +13,13 @@ the same key discipline as the batch path (one key, ``conv_id``, everywhere).
 Arrival order: ALL event-time ingest goes through :class:`ShardReplayer`
 actors (one ingest code path — the driver never decodes bytes): each
 replayer owns one contiguous name-ordered shard group and replays it
-sequentially; the event-time ``Streaming*Runner`` classes are thin
-``max_replayers=1`` wrappers over their ``Parallel*Runner`` twins for strict
-totally-ordered arrival semantics. The aggregate-on-ingest runners (exact
+sequentially. Each event-time mode (session, tumbling, sliding, join, CEP,
+absence, Kleene) is one ``Parallel*Runner`` on one epoch loop
+(:meth:`_ParallelReplayBase._epochs`); ``max_replayers=1`` gives strict
+totally-ordered arrival, and each ``ParallelCheckpointing*Runner`` is the
+same runner with the checkpointed ``run`` of :class:`_ParallelCheckpointMixin`.
+:class:`StreamingSessionRunner` adds the late-row side output to the
+single-replayer session run. The aggregate-on-ingest runners (exact
 and KLL quantiles, vocabulary, exact dedup, HLL, top-k, conversation dedup)
 merge commutatively and need no arrival order; they share one replay task
 (:func:`_replay_ingest_shard`), one bucket actor
@@ -40,6 +44,8 @@ unreferenced actors, so a half-applied topology is never reused.
 from __future__ import annotations
 
 import heapq
+import json
+import os
 import threading
 
 import numpy as np
@@ -184,7 +190,7 @@ class SessionBucketActor(_Reusable):
     only.
     """
 
-    def __init__(self, gap_s: float, retain_emissions: bool = False):
+    def __init__(self, gap_s: float):
         self.gap_us = int(gap_s * US)
         # conv_id → sorted DISJOINT open fragments [start, end, n_turns,
         # n_chars] (pairwise separated by > gap). A list, not a scalar:
@@ -192,11 +198,9 @@ class SessionBucketActor(_Reusable):
         # conversation's later shard before its earlier one), so sessionizing
         # is interval merging, not append-only extension.
         self.state: dict[str, list[list]] = {}
-        # retain mode (parallel multi-shard replay): finalized sessions are
-        # buffered in the actor and drained at flush, instead of being
-        # returned to (and possibly dropped by) whichever replayer triggered
-        # the eviction
-        self.retain = retain_emissions
+        # finalized sessions buffer in the actor and leave at drain/flush,
+        # never returned to (and possibly dropped by) whichever replayer
+        # triggered the eviction
         self.buf: list[pd.DataFrame] = []
 
     def _insert(self, conv: str, s: int, e: int, n: int, c: int) -> None:
@@ -221,12 +225,24 @@ class SessionBucketActor(_Reusable):
             a[0] = min(a[0], b[0]); a[1] = max(a[1], b[1]); a[2] += b[2]; a[3] += b[3]
             lst.pop(i + 1)
 
-    def process(self, frags: pd.DataFrame, watermark_us: int) -> pd.DataFrame:
-        gap = self.gap_us
+    def process(self, frags: pd.DataFrame, watermark_us: int) -> None:
         for conv, s, e, n, c in frags.itertuples(index=False, name=None):
             self._insert(conv, s, e, n, c)
-        # watermark eviction: a fragment is final once no non-late row can
-        # reach it (every future row has ts ≥ watermark > end + gap)
+        self.evict(watermark_us)
+
+    def evict(self, watermark_us: int) -> None:
+        """Finalize every fragment the watermark has passed by more than the
+        gap (no non-late row can reach it: every future row has ts ≥
+        watermark > end + gap) into the emission buffer.
+
+        Parallel replay routes batches with a −inf watermark and evicts only
+        here, at epoch barriers: evicting inside ``process`` races in-flight
+        batches carrying OLDER watermarks from other replayers — a mergeable
+        fragment could arrive after its neighbor was emitted, splitting one
+        session into two nondeterministically. At a barrier every replayer
+        is quiescent and the global min-watermark is a true lower bound on
+        all future event times."""
+        gap = self.gap_us
         done: list[list] = []
         for conv in list(self.state):
             keep = []
@@ -239,42 +255,22 @@ class SessionBucketActor(_Reusable):
                 self.state[conv] = keep
             else:
                 del self.state[conv]
-        emitted = self._emit(done)
-        if self.retain:
-            if len(emitted):
-                self.buf.append(emitted)
-            return self._emit([])
-        return emitted
-
-    def evict(self, watermark_us: int) -> None:
-        """Barrier-time eviction (parallel replay): evicting inside
-        ``process`` races in-flight batches carrying OLDER watermarks from
-        other replayers — a mergeable fragment could arrive after its
-        neighbor was emitted, splitting one session into two
-        nondeterministically. The parallel runners therefore route batches
-        with a −inf watermark and evict only at epoch barriers, when every
-        replayer is quiescent and the global min-watermark is a true lower
-        bound on all future event times."""
-        self.process(self._emit([]), watermark_us)
+        if done:
+            self.buf.append(self._emit(done))
 
     def flush(self) -> pd.DataFrame:
-        done = [[conv, *f] for conv, lst in self.state.items() for f in lst]
+        self.buf.append(self._emit([[conv, *f] for conv, lst in self.state.items() for f in lst]))
         self.state.clear()
-        final = self._emit(done)
-        if self.retain:
-            parts = [*self.buf, final]
-            self.buf = []
-            return pd.concat(parts, ignore_index=True) if parts else final
-        return final
+        return self.drain()
 
     def state_size(self) -> int:
         return len(self.state)
 
-    # --- checkpoint support (CheckpointingSessionRunner) ---
+    # --- checkpoint support ---
 
     def drain(self) -> pd.DataFrame:
-        """Hand over buffered finalized sessions (retain mode) WITHOUT
-        touching open state — the emission half of a checkpoint barrier."""
+        """Hand over buffered finalized sessions WITHOUT touching open
+        state — the emission half of a checkpoint barrier."""
         parts = self.buf
         self.buf = []
         return pd.concat(parts, ignore_index=True) if parts else self._emit([])
@@ -302,15 +298,12 @@ class SessionBucketActor(_Reusable):
 
 
 class StreamingSessionRunner:
-    """Strictly-ordered streaming sessionization: a thin ``max_replayers=1``
-    wrapper over :class:`ParallelStreamingRunner` (round-3 VERDICT #3 — ONE
-    ingest code path; this class used to own a driver-side decode loop).
-    With a single replayer the shard group is the whole log in name order,
-    so arrival order is total — the legacy semantics — while every byte
-    still decodes inside a :class:`ShardReplayer` actor.
+    """Strictly-ordered streaming sessionization with a late-row side
+    output: :class:`ParallelStreamingRunner` with ``max_replayers=1`` (the
+    shard group is the whole log in name order, so arrival order is total)
+    whose replayer keeps the late rows themselves, not just their count.
 
-    Returns the legacy ``(sessions, late, metrics)`` shape: late rows are
-    retained inside the replayer (``retain_late``) and surfaced as a
+    Returns ``(sessions, late, metrics)``: late rows are surfaced as a
     side-output DataFrame, never silently dropped."""
 
     def __init__(self, gap_s: float = 1800.0, lateness_s: float = 3600.0, num_buckets: int = 8):
@@ -326,19 +319,9 @@ class StreamingSessionRunner:
         )
         inner.retain_late = True
         sessions, metrics = inner.run(parquet_path, micro_batch_rows)
-        late = _collect_late(inner, columns=["conv_id", "ts_us", "n_chars"])
-        metrics["sessions"] = int(len(sessions))
+        late = (pd.concat(inner.late, ignore_index=True) if inner.late
+                else pd.DataFrame(columns=["conv_id", "ts_us", "n_chars"]))
         return sessions, late, metrics
-
-
-def _collect_late(runner: "_ParallelReplayBase", columns: list[str]) -> pd.DataFrame:
-    """Drain retained late-row frames from a finished runner's replayers,
-    then release them (the wrapper path defers replayer teardown until the
-    late side-output is collected)."""
-    parts = [f for f in ray.get([r.late_frames.remote() for r in runner._reps]) if len(f)]
-    _release(*runner._reps)
-    runner._reps = []
-    return pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(columns=columns)
 
 
 @ray.remote(num_cpus=0)
@@ -348,17 +331,14 @@ class TumblingBucketActor(_Reusable):
     (emitted + dropped) once the watermark passes ``window_end`` — classic
     event-time tumbling aggregation with monotonic watermark finalization."""
 
-    def __init__(self, width_s: float, retain_emissions: bool = False):
+    def __init__(self, width_s: float):
         self.width_us = int(width_s * US)
         self.state: dict[tuple, list] = {}  # (key, ws) -> [n, sum]
-        # retain mode (parallel multi-shard replay): finalized windows buffer
-        # inside the actor and drain at flush — same discipline as
-        # SessionBucketActor (emissions returned to parallel replayers would
-        # be dropped by whichever replay task triggered the eviction)
-        self.retain = retain_emissions
+        # finalized windows buffer inside the actor and leave at flush —
+        # same discipline as SessionBucketActor
         self.buf: list[pd.DataFrame] = []
 
-    def process(self, partials: pd.DataFrame, watermark_us: int) -> pd.DataFrame:
+    def process(self, partials: pd.DataFrame, watermark_us: int) -> None:
         state = self.state
         for key, ws, n, s in partials.itertuples(index=False, name=None):
             cur = state.get((key, ws))
@@ -367,33 +347,27 @@ class TumblingBucketActor(_Reusable):
             else:
                 cur[0] += n
                 cur[1] += s
+        self.evict(watermark_us)
+
+    def evict(self, watermark_us: int) -> None:
+        """Finalize every window the watermark has passed. Parallel replay
+        calls it only at epoch barriers — see
+        :meth:`SessionBucketActor.evict`: in-flight eviction races an
+        older-watermark partial from another replayer, which would re-open an
+        already-emitted window and emit it twice."""
+        state = self.state
         done = [
             (k, ws, *state.pop((k, ws)))
             for (k, ws) in [kw for kw in state if kw[1] + self.width_us <= watermark_us]
         ]
-        emitted = self._emit(done)
-        if self.retain:
-            if len(emitted):
-                self.buf.append(emitted)
-            return self._emit([])
-        return emitted
-
-    def evict(self, watermark_us: int) -> None:
-        """Barrier-time eviction (parallel replay) — see
-        :meth:`SessionBucketActor.evict`: in-flight eviction races an
-        older-watermark partial from another replayer, which would re-open an
-        already-emitted window and emit it twice."""
-        self.process(self._emit([]), watermark_us)
+        if done:
+            self.buf.append(self._emit(done))
 
     def flush(self) -> pd.DataFrame:
-        done = [(k, ws, n, s) for (k, ws), (n, s) in self.state.items()]
+        parts = [*self.buf, self._emit([(k, ws, n, s) for (k, ws), (n, s) in self.state.items()])]
         self.state.clear()
-        final = self._emit(done)
-        if self.retain:
-            parts = [*self.buf, final]
-            self.buf = []
-            return pd.concat(parts, ignore_index=True) if parts else final
-        return final
+        self.buf = []
+        return pd.concat(parts, ignore_index=True)
 
     def state_size(self) -> int:
         return len(self.state)
@@ -403,65 +377,12 @@ class TumblingBucketActor(_Reusable):
         return pd.DataFrame(done, columns=["key", "window_start_us", "n", "value_sum"])
 
 
-class StreamingTumblingRunner:
-    """Strictly-ordered tumbling-window aggregation: a thin
-    ``max_replayers=1`` wrapper over :class:`ParallelTumblingRunner`
-    (round-3 VERDICT #3 — one ingest code path; the driver-side decode loop
-    this class used to own is gone). ``value_col`` is accepted for API
-    compatibility; the measured value is always char count of ``text``
-    (as before).
-
-    Null event times: event-time streaming needs an event time, so null-ts
-    rows are counted (``metrics["null_ts_rows"]``) and dropped — the BATCH
-    window path emits them under a null window_start instead (documented
-    divergence)."""
-
-    def __init__(self, width_s: float = 3600.0, lateness_s: float = 3600.0,
-                 num_buckets: int = 8, key_col: str = "conv_id",
-                 value_col: str = "n_chars"):
-        self.width_s = width_s
-        self.lateness_s = lateness_s
-        self.num_buckets = num_buckets
-        self.key_col = key_col
-        self.value_col = value_col
-
-    def _inner(self) -> "ParallelTumblingRunner":
-        return ParallelTumblingRunner(
-            width_s=self.width_s, lateness_s=self.lateness_s,
-            num_buckets=self.num_buckets, key_col=self.key_col, max_replayers=1,
-        )
-
-    def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        return self._inner().run(parquet_path, micro_batch_rows)
-
-
-class StreamingSlidingRunner(StreamingTumblingRunner):
-    """Strictly-ordered SLIDING-window aggregation: ``max_replayers=1``
-    wrapper over :class:`ParallelSlidingRunner` (row→k-window tiling happens
-    inside the replayer actor; see that class for semantics)."""
-
-    def __init__(self, width_s: float = 7200.0, slide_s: float = 3600.0,
-                 lateness_s: float = 3600.0, num_buckets: int = 8,
-                 key_col: str = "conv_id", value_col: str = "n_chars"):
-        if int(width_s * US) % int(slide_s * US) != 0:
-            raise ValueError("sliding window width must be a multiple of slide")
-        super().__init__(width_s=width_s, lateness_s=lateness_s,
-                         num_buckets=num_buckets, key_col=key_col, value_col=value_col)
-        self.slide_s = slide_s
-
-    def _inner(self) -> "ParallelSlidingRunner":
-        return ParallelSlidingRunner(
-            width_s=self.width_s, slide_s=self.slide_s, lateness_s=self.lateness_s,
-            num_buckets=self.num_buckets, key_col=self.key_col, max_replayers=1,
-        )
-
-
 # ---------------------------------------------------------------------------
-# Parallel multi-shard replay with per-shard watermarks (the distributed form)
-# — shared by the session, tumbling, sliding and join runners. Ingest is NEVER
-# a driver loop here: every byte is decoded inside a ShardReplayer actor
-# (round-2 VERDICT #1 — the single-driver runners above remain for strict
-# totally-ordered arrival semantics; these are the 100-TB path).
+# Parallel multi-shard replay with per-shard watermarks — the one ingest
+# path of every event-time mode (session, tumbling, sliding, join, CEP,
+# absence, Kleene). Ingest is NEVER a driver loop: every byte is decoded
+# inside a ShardReplayer actor. One replayer (``max_replayers=1``) gives
+# strict totally-ordered arrival; more replayers are the 100-TB path.
 # ---------------------------------------------------------------------------
 
 @ray.remote(num_cpus=0)
@@ -509,8 +430,7 @@ class WatermarkActor(_Reusable):
 def _join_turns_df(rb: pa.RecordBatch) -> pd.DataFrame:
     """Decode one transcript micro-batch into the join-runner row format:
     (conv_id, turn_idx, rc ∈ {0 user, 1 response, 2 other}, ts_us, n_chars).
-    Vectorized Arrow kernels only — shared by the single-driver and parallel
-    join runners."""
+    Vectorized Arrow kernels only."""
     import pyarrow.compute as pc
 
     t = pa.Table.from_batches([rb])
@@ -564,6 +484,17 @@ _MODE_COLUMNS = {
 }
 
 
+def _bucket_of(keys, nb: int) -> np.ndarray:
+    """Hash bucket (0..nb−1) of each key: the one routing rule of every
+    streaming runner. A pandas Series hashes as Python objects — what
+    :meth:`ShardReplayer._route` sends and what a checkpoint resume re-reads
+    from its snapshot — so resumed state lands in the bucket its key's rows
+    go to."""
+    if isinstance(keys, pd.Series):
+        keys = keys.to_numpy(dtype=object)
+    return pd.util.hash_array(keys) % np.uint64(nb)
+
+
 @ray.remote(num_cpus=0)
 class ShardReplayer(_Reusable):
     """Owns the sequential replay of ONE log partition (a contiguous group of
@@ -574,8 +505,8 @@ class ShardReplayer(_Reusable):
     turns) and routes them to the shared bucket state actors.
 
     ``replay(max_batches)`` processes up to *max_batches* micro-batches and
-    returns — the epoch primitive the parallel checkpointing runners use as a
-    consistent barrier (all replayers quiescent between epochs). The open
+    returns — the epoch primitive :meth:`_ParallelReplayBase._epochs` uses as
+    a consistent barrier (all replayers quiescent between epochs). The open
     parquet iterator survives across epochs, so an N-epoch run decodes each
     byte exactly once."""
 
@@ -599,8 +530,8 @@ class ShardReplayer(_Reusable):
         self.eof = False
         self._iter = None
         self._pending: list = []  # in-flight bucket process() futures
-        # legacy side-output support (Streaming*Runner wrappers): buffer the
-        # late rows themselves, not just the count
+        # side-output support (StreamingSessionRunner): buffer the late rows
+        # themselves, not just the count
         self.retain_late = retain_late
         self._late_parts: list[pd.DataFrame] = []
 
@@ -659,7 +590,7 @@ class ShardReplayer(_Reusable):
         # in-flight eviction races another replayer's older-watermark batch
         # (see SessionBucketActor.evict)
         nb = len(self.buckets)
-        bucket = pd.util.hash_array(frame[key_col].to_numpy(dtype=object)) % nb
+        bucket = _bucket_of(frame[key_col], nb)
         # PIPELINED routing: no per-batch ray.get — Ray executes calls from
         # the same caller on the same actor in submission order, which is all
         # shard-arrival order needs (cross-replayer interleaving is already
@@ -674,6 +605,31 @@ class ShardReplayer(_Reusable):
             ray.get(self._pending)
             self._pending = []
 
+    def _on_time(self, df: pd.DataFrame, nulls: pd.Series) -> pd.DataFrame:
+        """The rows of *df* to route. Event-time streaming needs an event
+        time: rows flagged in *nulls* are counted and dropped (the BATCH
+        window path emits them under a null window instead — documented
+        divergence, surfaced in metrics). Then one watermark round-trip:
+        lateness is judged against the global watermark BEFORE this batch
+        advances it. max(all rows) equals max(non-late rows) whenever any
+        row is on time (late ⇒ ts < global ≤ every on-time ts); an all-late
+        batch advances by a value below this shard's own monotonic mark — a
+        no-op. Late rows are counted and, under ``retain_late``, kept."""
+        if nulls.any():
+            self.null_ts_rows += int(nulls.sum())
+            df = df[~nulls]
+        if not len(df):
+            return df
+        prev_g, _g = ray.get(self.wm.observe_and_advance.remote(
+            self.shard_id, int(df.ts_us.max()) - self.lateness_us))
+        late = df.ts_us < prev_g
+        if late.any():
+            self.late_rows += int(late.sum())
+            if self.retain_late:
+                self._late_parts.append(df[late])
+            df = df[~late]
+        return df
+
     def _process(self, rb: pa.RecordBatch) -> None:
         if self.mode == "join":
             df = _join_turns_df(rb)
@@ -684,37 +640,23 @@ class ShardReplayer(_Reusable):
             self._route(df, "conv_id")
             return
 
+        t = pa.Table.from_batches([rb])
         if self.mode == "cep":
             from pipeflow_ray.stages.cep import _NEG_INF, _prep_table
 
             p = self.params
             emit_srcs = sorted({src for _o, src, _n in p["emit"]})
-            t = pa.Table.from_batches([rb])
             if p.get("derive") is not None:
                 # derived predicate columns (e.g. n_chars) computed HERE so
                 # heavy raw columns (text) never leave the replayer
                 t = p["derive"](t)
             df = _prep_table(t, p["steps"], p["key"],
                              p["order"], p["ts_col"], emit_srcs).to_pandas()
-            nulls = df.ts_us == _NEG_INF  # null event time (sentinel)
-            if nulls.any():
-                self.null_ts_rows += int(nulls.sum())
-                df = df[~nulls]
-            if not len(df):
-                return
-            prev_g, _g = ray.get(self.wm.observe_and_advance.remote(
-                self.shard_id, int(df.ts_us.max()) - self.lateness_us))
-            late = df.ts_us < prev_g
-            if late.any():
-                self.late_rows += int(late.sum())
-                if self.retain_late:
-                    self._late_parts.append(df[late])
-                df = df[~late]
+            df = self._on_time(df, df.ts_us == _NEG_INF)  # null ts sentinel
             if len(df):
                 self._route(df, p["key"])
             return
 
-        t = pa.Table.from_batches([rb])
         key_name = "conv_id" if self.mode == "session" else "key"
         val_name = "n_chars" if self.mode == "session" else "v"
         src_key = "conv_id" if self.mode == "session" else self.params["key_col"]
@@ -725,28 +667,7 @@ class ShardReplayer(_Reusable):
                 val_name: _n_chars(t["text"].combine_chunks()),
             }
         )
-        # event-time streaming needs an event time: null-ts rows are counted
-        # and dropped here (the BATCH window path emits them under a null
-        # window instead — documented divergence, surfaced in metrics)
-        nulls = df.ts_us.isna()
-        if nulls.any():
-            self.null_ts_rows += int(nulls.sum())
-            df = df[~nulls]
-        if not len(df):
-            return
-        # one watermark round-trip: lateness is judged against the global
-        # watermark BEFORE this batch advances it. max(all rows) equals
-        # max(non-late rows) whenever any row is on time (late ⇒ ts < global
-        # ≤ every on-time ts); an all-late batch advances by a value below
-        # this shard's own monotonic mark — a no-op.
-        prev_g, _g = ray.get(self.wm.observe_and_advance.remote(
-            self.shard_id, int(df.ts_us.max()) - self.lateness_us))
-        late = df.ts_us < prev_g
-        if late.any():
-            self.late_rows += int(late.sum())
-            if self.retain_late:
-                self._late_parts.append(df[late])
-            df = df[~late]
+        df = self._on_time(df, df.ts_us.isna())
         if not len(df):
             return
         if self.mode == "session":
@@ -758,8 +679,6 @@ class ShardReplayer(_Reusable):
 
 
 def _shard_files(parquet_path: str) -> list[str]:
-    import os
-
     if os.path.isdir(parquet_path):
         return sorted(
             os.path.join(parquet_path, f)
@@ -777,13 +696,32 @@ def _shard_groups(files: list[str], max_replayers: int) -> list[list[str]]:
     return [list(g) for g in np.array_split(np.array(files, dtype=object), n)]
 
 
+def _out_schema(key: str, ints, strings=(), types: "dict | None" = None) -> pa.Schema:
+    """A mode's output schema: the string key, int64 columns, then string
+    columns (*types* maps a string column's name to another type)."""
+    return pa.schema([(key, pa.string()), *((c, pa.int64()) for c in ints),
+                      *((c, (types or {}).get(c, pa.string())) for c in strings)])
+
+
+def _concat(handles: list) -> "pd.DataFrame | None":
+    """The non-empty emission frames behind *handles*, concatenated; None
+    when there are none."""
+    parts = [p for p in ray.get(handles) if len(p)]
+    return pd.concat(parts, ignore_index=True) if parts else None
+
+
 class _ParallelReplayBase:
-    """Shared harness: bounded replayer-actor pool over name-ordered shard
-    groups, global min-watermark, retain-mode bucket state actors, final
-    flush. Subclasses define the mode, its params, the bucket actor factory
-    and the output assembly."""
+    """Shared harness of every event-time mode: a bounded replayer-actor
+    pool over name-ordered shard groups, a global min-watermark, bucket
+    state actors, the one epoch loop (:meth:`_epochs`) and the plain
+    ``run``. A mode defines its replay params, its bucket actor, its output
+    schema ``_schema`` (what the plain run returns on empty input and what
+    a checkpointed run commits) and the metrics key ``_count`` of its
+    output row count."""
 
     mode: str
+    _schema: pa.Schema
+    _count: str
 
     def __init__(self, lateness_s: float, num_buckets: int, max_replayers: int = 16,
                  epoch_batches: int = 64):
@@ -793,63 +731,81 @@ class _ParallelReplayBase:
         # micro-batches per replayer between eviction barriers: bounds open
         # state to what accumulates within one epoch span
         self.epoch_batches = epoch_batches
-        # legacy-wrapper hook: replayers buffer late ROWS (not just counts)
-        # for the (sessions, late, metrics) side-output API
+        # side-output hook (StreamingSessionRunner): replayers buffer late
+        # ROWS, not just counts, and the plain run leaves them in ``late``
         self.retain_late = False
-        self._reps: list = []  # live replayer handles after _replay_all
-        self._wm = None  # watermark actor handle after _replay_all
+        self.late: list[pd.DataFrame] = []
 
-    # --- subclass hooks ---
+    # --- mode hooks ---
     def _params(self) -> dict:
         raise NotImplementedError
 
     def _make_bucket_actor(self):
         raise NotImplementedError
 
-    def _collect(self, actor):  # final emission handle per bucket actor
+    def _final(self, actor):
+        """Handle of a bucket actor's end-of-stream output."""
         return actor.flush.remote()
 
-    def _replay_all(self, parquet_path: str, micro_batch_rows: int):
-        """→ (bucket_actors, per-replayer results, n_files). Drives every
-        replayer to EOF in epochs of ``epoch_batches`` micro-batches; at each
-        epoch barrier (all replayers quiescent) the bucket actors evict
-        against the global min-watermark — the only safe eviction point (see
-        SessionBucketActor.evict), and what keeps open state bounded."""
+    def _finish(self, out: pd.DataFrame) -> pd.DataFrame:
+        """The plain run's output from the bucket actors' emissions."""
+        return out
+
+    def _epochs(self, parquet_path: str, micro_batch_rows: int, batches: int,
+                ck: "_Checkpoint | None" = None):
+        """The one epoch loop: shard groups → bucket, watermark and replayer
+        actors → per epoch, every live replayer replays up to *batches*
+        micro-batches (``ray.get`` = the alignment barrier: no replayer is
+        mid-batch) → the bucket actors evict against the global
+        min-watermark, the only safe eviction point (see
+        SessionBucketActor.evict) and what keeps open state bounded. A
+        checkpointed run (*ck*) starts from its snapshot's offsets, marks and
+        open state and ends each epoch with drain → commit → snapshot.
+
+        → ((replayers, watermark actor, bucket actors), per-replayer replay
+        results, n_files), or None after a simulated crash."""
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
+        n = len(groups)
         actors = [self._make_bucket_actor() for _ in range(self.num_buckets)]
-        wm = _acquire(WatermarkActor, list(range(len(groups))))
+        wm = _acquire(WatermarkActor, list(range(n)))
+        offsets, eofs = ck.start(n, wm, actors) if ck else ([0] * n, [False] * n)
         reps = [
             _acquire(ShardReplayer, i, g, self.mode, self._params(),
                      self.lateness_us, micro_batch_rows, wm, actors,
-                     retain_late=self.retain_late)
+                     start_offset=offsets[i], retain_late=self.retain_late)
             for i, g in enumerate(groups)
         ]
-        self._reps = reps
-        self._wm = wm
-        n = len(groups)
-        results: list = [None] * n
-        eofs = [False] * n
+        results = [(0, 0, 0, offsets[i], eofs[i]) for i in range(n)]
         while not all(eofs):
             live = [i for i in range(n) if not eofs[i]]
-            res = ray.get([reps[i].replay.remote(self.epoch_batches) for i in live])
+            res = ray.get([reps[i].replay.remote(batches) for i in live])
             for i, r in zip(live, res):
                 results[i] = r
                 eofs[i] = r[4]
             gw = ray.get(wm.global_watermark.remote())
             ray.get([a.evict.remote(gw) for a in actors])
-        return actors, results, len(files)
+            if ck is not None and not ck.epoch_done(results):
+                # simulated crash: explicit kill ≈ the process dying; a
+                # crashed topology never enters the cache
+                _kill_actors(*reps, wm, *actors)
+                return None
+        return (reps, wm, actors), results, len(files)
 
-    def _teardown(self, actors) -> None:
-        """Called by run() after all final-flush results are in hand: release
-        the bucket/watermark actors (and the replayers, unless the legacy
-        late-rows side-output still needs them — _collect_late releases
-        those)."""
-        if not self.retain_late:
-            _release(*self._reps)
-            self._reps = []
-        _release(self._wm, *actors)
-        self._wm = None
+    def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
+        """→ (output DataFrame, metrics). Emissions buffer inside the bucket
+        actors and are collected once, after every replayer finished."""
+        (reps, wm, actors), results, n_files = self._epochs(
+            parquet_path, micro_batch_rows, self.epoch_batches)
+        out = _concat([self._final(a) for a in actors])
+        metrics = self._metrics(results, n_files)
+        metrics["open_state"] = sum(ray.get([a.state_size.remote() for a in actors]))
+        if self.retain_late:
+            self.late = [f for f in ray.get([r.late_frames.remote() for r in reps]) if len(f)]
+        _release(*reps, wm, *actors)
+        out = self._finish(self._schema.empty_table().to_pandas() if out is None else out)
+        metrics[self._count] = int(len(out))
+        return out, metrics
 
     @staticmethod
     def _metrics(results, n_files) -> dict:
@@ -876,12 +832,11 @@ class ParallelStreamingRunner(_ParallelReplayBase):
     handles cross-shard out-of-order arrival within the lateness horizon
     (sessions may extend backwards); with lateness ≥ total disorder the
     result equals batch event-time sessionization (tested).
-
-    Late emissions happen inside the actors; the sessions output is collected
-    only after every replayer finished + a final flush.
     """
 
     mode = "session"
+    _schema = _out_schema("conv_id", ("start_us", "end_us", "n_turns", "n_chars"))
+    _count = "sessions"
 
     def __init__(self, gap_s: float = 1800.0, lateness_s: float = 3600.0,
                  num_buckets: int = 8, max_replayers: int = 16,
@@ -894,33 +849,29 @@ class ParallelStreamingRunner(_ParallelReplayBase):
         return {"gap_us": self.gap_us}
 
     def _make_bucket_actor(self):
-        return _acquire(SessionBucketActor, self.gap_s, retain_emissions=True)
+        return _acquire(SessionBucketActor, self.gap_s)
 
-    def run(self, parquet_dir: str, micro_batch_rows: int = 65_536):
-        actors, results, n_files = self._replay_all(parquet_dir, micro_batch_rows)
-        # actors run in retain mode: finalized sessions buffer inside each
-        # actor and drain here in one flush (replayers never see emissions)
-        out = [f for f in ray.get([self._collect(a) for a in actors]) if len(f)]
-        self._teardown(actors)
-        sessions = pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-            columns=["conv_id", "start_us", "end_us", "n_turns", "n_chars"]
-        )
-        sessions["session_start"] = pd.to_datetime(sessions.start_us, unit="us")
-        sessions["session_end"] = pd.to_datetime(sessions.end_us, unit="us")
-        metrics = self._metrics(results, n_files)
-        metrics["sessions"] = int(len(sessions))
-        return sessions.drop(columns=["start_us", "end_us"]), metrics
+    def _finish(self, out: pd.DataFrame) -> pd.DataFrame:
+        out["session_start"] = pd.to_datetime(out.start_us, unit="us")
+        out["session_end"] = pd.to_datetime(out.end_us, unit="us")
+        return out.drop(columns=["start_us", "end_us"])
 
 
 class ParallelTumblingRunner(_ParallelReplayBase):
-    """Parallel-replay tumbling-window aggregation: the distributed form of
-    :class:`StreamingTumblingRunner` (whose single-driver ingest loop was the
-    round-2 scale finding). Window partials merge commutatively in the bucket
-    actors, so cross-shard arrival order is free; finalization follows the
-    global min-watermark. Equals the batch tumbling aggregate when lateness
-    covers total disorder (tested)."""
+    """Parallel-replay tumbling-window aggregation. Window partials merge
+    commutatively in the bucket actors, so cross-shard arrival order is
+    free; finalization follows the global min-watermark. Equals the batch
+    tumbling aggregate when lateness covers total disorder (tested). The
+    measured value is the char count of ``text``.
+
+    Null event times: event-time streaming needs an event time, so null-ts
+    rows are counted (``metrics["null_ts_rows"]``) and dropped — the BATCH
+    window path emits them under a null window_start instead (documented
+    divergence)."""
 
     mode = "tumbling"
+    _schema = _out_schema("key", ("window_start_us", "n", "value_sum"))
+    _count = "windows"
 
     def __init__(self, width_s: float = 3600.0, lateness_s: float = 3600.0,
                  num_buckets: int = 8, key_col: str = "conv_id",
@@ -936,18 +887,7 @@ class ParallelTumblingRunner(_ParallelReplayBase):
                 "slide_us": self.slide_us}
 
     def _make_bucket_actor(self):
-        return _acquire(TumblingBucketActor, self.width_s, retain_emissions=True)
-
-    def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        actors, results, n_files = self._replay_all(parquet_path, micro_batch_rows)
-        out = [f for f in ray.get([self._collect(a) for a in actors]) if len(f)]
-        self._teardown(actors)
-        windows = pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-            columns=["key", "window_start_us", "n", "value_sum"]
-        )
-        metrics = self._metrics(results, n_files)
-        metrics["windows"] = int(len(windows))
-        return windows, metrics
+        return _acquire(TumblingBucketActor, self.width_s)
 
 
 class ParallelSlidingRunner(ParallelTumblingRunner):
@@ -969,15 +909,17 @@ class ParallelSlidingRunner(ParallelTumblingRunner):
 
 
 class ParallelJoinRunner(_ParallelReplayBase):
-    """Parallel-replay incremental turn-response join: the distributed form
-    of :class:`StreamingJoinRunner`. The park-or-match dict state in
-    :class:`PairJoinActor` is order-free within the eviction horizon, so
-    cross-shard pairs (user turn in one shard, response in another) resolve
-    whichever side arrives second; eviction follows the global min-watermark.
-    Equals the batch ``turn_response_join`` when the eviction gap covers total
-    disorder (tested)."""
+    """Parallel-replay incremental turn-response join. The park-or-match
+    dict state in :class:`JoinBucketActor` is order-free within the eviction
+    horizon, so cross-shard pairs (user turn in one shard, response in
+    another) resolve whichever side arrives second; eviction follows the
+    global min-watermark. Equals the batch ``turn_response_join`` when the
+    eviction gap covers total disorder (tested)."""
 
     mode = "join"
+    _schema = _out_schema("conv_id", ("turn_idx", "user_ts_us", "resp_ts_us",
+                                      "user_chars", "resp_chars"))
+    _count = "pairs"
 
     def __init__(self, lateness_s: float = 3600.0, eviction_gap_s: float | None = None,
                  num_buckets: int = 8, max_replayers: int = 16,
@@ -989,26 +931,10 @@ class ParallelJoinRunner(_ParallelReplayBase):
         return {}
 
     def _make_bucket_actor(self):
-        return _acquire(PairJoinActor, self.eviction_gap_s)
+        return _acquire(JoinBucketActor, self.eviction_gap_s)
 
-    def _collect(self, actor):
-        return actor.drain.remote()
-
-    def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        actors, results, n_files = self._replay_all(parquet_path, micro_batch_rows)
-        parts = [p for p in ray.get([self._collect(a) for a in actors]) if len(p)]
-        pairs = (
-            pd.concat(parts, ignore_index=True)
-            if parts
-            else pd.DataFrame(columns=["conv_id", "turn_idx", "user_ts_us", "resp_ts_us",
-                                       "user_chars", "resp_chars"])
-        )
-        open_state = sum(ray.get([a.state_size.remote() for a in actors]))
-        self._teardown(actors)
-        metrics = self._metrics(results, n_files)
-        metrics["pairs"] = int(len(pairs))
-        metrics["open_state"] = open_state
-        return pairs, metrics
+    def _final(self, actor):
+        return actor.drain.remote()  # pairs have no open-state flush semantics
 
 
 @ray.remote(num_cpus=0)
@@ -1084,21 +1010,15 @@ class CepBucketActor(_Reusable):
         self.prev_wm = max(self.prev_wm, watermark_us)
 
     def flush(self) -> pd.DataFrame:
-        from pipeflow_ray.stages.cep import empty_matches
-
         self.evict(1 << 62)
-        parts = self.buf
-        self.buf = []
         self.carry = None
-        if parts:
-            return pd.concat(parts, ignore_index=True)
-        return empty_matches(self.key, self.emit)
+        return self.drain()
 
     def state_size(self) -> int:
         n = 0 if self.carry is None else len(self.carry)
         return n + sum(len(p) for p in self.parts)
 
-    # --- checkpoint support (ParallelCheckpointingCepRunner) ---
+    # --- checkpoint support ---
 
     def drain(self) -> pd.DataFrame:
         """Hand over buffered emitted matches WITHOUT touching the
@@ -1137,13 +1057,14 @@ class ParallelCepRunner(_ParallelReplayBase):
     matches equal the batch scan on the same rows (tested)."""
 
     mode = "cep"
+    _count = "matches"
 
     def __init__(self, steps, within_us: int | None = None, emit=(),
                  lateness_s: float = 3600.0, num_buckets: int = 8,
                  max_replayers: int = 16, epoch_batches: int = 64,
                  key: str = "conv_id", order: str = "turn_idx",
                  ts_col: str = "ts"):
-        from pipeflow_ray.stages.cep import pattern_columns
+        from pipeflow_ray.stages.cep import match_columns, pattern_columns
 
         super().__init__(lateness_s, num_buckets, max_replayers, epoch_batches)
         self.steps = list(steps)
@@ -1153,6 +1074,8 @@ class ParallelCepRunner(_ParallelReplayBase):
         self.order = order
         self.ts_col = ts_col
         self.columns = pattern_columns(steps, self.emit, key, order, ts_col)
+        self._schema = _out_schema(key, match_columns(key)[1:],
+                                   [name for _o, _s, name in self.emit])
 
     def _params(self) -> dict:
         return {"steps": self.steps, "within_us": self.within_us,
@@ -1163,62 +1086,6 @@ class ParallelCepRunner(_ParallelReplayBase):
         return _acquire(CepBucketActor, len(self.steps), self.within_us,
                         self.emit, key=self.key, order=self.order)
 
-    def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        from pipeflow_ray.stages.cep import empty_matches
-
-        actors, results, n_files = self._replay_all(parquet_path, micro_batch_rows)
-        out = [f for f in ray.get([self._collect(a) for a in actors]) if len(f)]
-        self._teardown(actors)
-        matches = (pd.concat(out, ignore_index=True) if out
-                   else empty_matches(self.key, self.emit))
-        metrics = self._metrics(results, n_files)
-        metrics["matches"] = int(len(matches))
-        return matches, metrics
-
-
-# ---------------------------------------------------------------------------
-# Mid-stream checkpoint / resume (exactly-once streaming output)
-# ---------------------------------------------------------------------------
-
-def _actor_dump(actor) -> pd.DataFrame:
-    return ray.get(actor.dump_state.remote())
-
-
-def _batches_to_epochs(stop_after_batches: int | None, checkpoint_every: int) -> int | None:
-    """Translate the legacy crash-injection hook (stop after N micro-batches)
-    into the parallel runners' epoch unit (one epoch = ``checkpoint_every``
-    micro-batches per replayer)."""
-    if stop_after_batches is None:
-        return None
-    return max(1, -(-stop_after_batches // checkpoint_every))
-
-
-class CheckpointingSessionRunner(StreamingSessionRunner):
-    """Strictly-ordered checkpointing sessionization: a thin
-    ``max_replayers=1`` wrapper over
-    :class:`ParallelCheckpointingSessionRunner` (round-3 VERDICT #3 — one
-    ingest + one checkpoint code path). Epoch-aligned barriers: every
-    ``checkpoint_every`` micro-batches → drain buffered finalized sessions →
-    atomic partition commit → snapshot {open state, replay offset,
-    watermark}. Crash recovery replays exactly the lost span: committed
-    output has no duplicates and no gaps (tested: killed run + resume ≡
-    uninterrupted run ≡ batch oracle)."""
-
-    def run(
-        self,
-        parquet_path: str,
-        out_dir: str,
-        micro_batch_rows: int = 65_536,
-        checkpoint_every: int = 10,
-        stop_after_batches: int | None = None,  # crash-injection hook (tests)
-    ):
-        inner = ParallelCheckpointingSessionRunner(
-            gap_s=self.gap_s, lateness_s=self.lateness_s,
-            num_buckets=self.num_buckets, max_replayers=1,
-        )
-        return inner.run(parquet_path, out_dir, micro_batch_rows, checkpoint_every,
-                         _batches_to_epochs(stop_after_batches, checkpoint_every))
-
 
 # ---------------------------------------------------------------------------
 # Streaming stateful turn-response join (north rule: user turns joined to
@@ -1226,7 +1093,7 @@ class CheckpointingSessionRunner(StreamingSessionRunner):
 # ---------------------------------------------------------------------------
 
 @ray.remote(num_cpus=0)
-class PairJoinActor(_Reusable):
+class JoinBucketActor(_Reusable):
     """Incremental conv_id-keyed hash join state for one bucket.
 
     State: ``(conv_id, turn_idx) → (rc, ts_us, n_chars)`` of still-unmatched
@@ -1338,7 +1205,7 @@ class PairJoinActor(_Reusable):
     def state_size(self) -> int:
         return len(self.state)
 
-    # --- checkpoint support (CheckpointingJoinRunner) ---
+    # --- checkpoint support ---
 
     def dump_state(self) -> pd.DataFrame:
         """Snapshot pending unmatched turns (the checkpoint state half)."""
@@ -1355,62 +1222,16 @@ class PairJoinActor(_Reusable):
         }
 
 
-class StreamingJoinRunner:
-    """Strictly-ordered incremental turn-response join: a thin
-    ``max_replayers=1`` wrapper over :class:`ParallelJoinRunner` (round-3
-    VERDICT #3 — one ingest code path). Equals the batch
-    ``stages.join.turn_response_join`` when eviction_gap covers the stream's
-    disorder (tested)."""
-
-    def __init__(self, lateness_s: float = 3600.0, eviction_gap_s: float | None = None,
-                 num_buckets: int = 8):
-        self.lateness_s = lateness_s
-        self.eviction_gap_s = eviction_gap_s if eviction_gap_s is not None else lateness_s
-        self.num_buckets = num_buckets
-
-    def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        inner = ParallelJoinRunner(
-            lateness_s=self.lateness_s, eviction_gap_s=self.eviction_gap_s,
-            num_buckets=self.num_buckets, max_replayers=1,
-        )
-        return inner.run(parquet_path, micro_batch_rows)
-
-
-class CheckpointingJoinRunner(StreamingJoinRunner):
-    """Strictly-ordered checkpointing turn-response join: a thin
-    ``max_replayers=1`` wrapper over
-    :class:`ParallelCheckpointingJoinRunner` — the join counterpart of
-    :class:`CheckpointingSessionRunner` (same epoch barrier recipe: drain
-    buffered emissions → atomic partition commit → snapshot pending state +
-    replay offset + watermark)."""
-
-    def run(
-        self,
-        parquet_path: str,
-        out_dir: str,
-        micro_batch_rows: int = 65_536,
-        checkpoint_every: int = 10,
-        stop_after_batches: int | None = None,  # crash-injection hook (tests)
-    ):
-        inner = ParallelCheckpointingJoinRunner(
-            lateness_s=self.lateness_s, eviction_gap_s=self.eviction_gap_s,
-            num_buckets=self.num_buckets, max_replayers=1,
-        )
-        return inner.run(parquet_path, out_dir, micro_batch_rows, checkpoint_every,
-                         _batches_to_epochs(stop_after_batches, checkpoint_every))
-
-
 # ---------------------------------------------------------------------------
-# Epoch-aligned checkpointing over the PARALLEL replay pool: distributed
-# ingest + exactly-once output + mid-stream resume in one runner (the round-2
-# VERDICT asked for the checkpointing variants to leave the single-driver
-# ingest loop too).
+# Epoch-aligned checkpointing over the parallel replay pool: distributed
+# ingest + exactly-once output + mid-stream resume (session, join and the
+# three CEP modes).
 #
 # Barrier recipe (Flink-style aligned epochs, expressed with Ray actors):
 # each epoch every live replayer processes up to ``checkpoint_every``
 # micro-batches of its shard group, then the driver waits for ALL of them
-# (``ray.get`` = the alignment barrier — no replayer is mid-batch), drains
-# the bucket actors' buffered emissions into one atomically-manifested
+# (``ray.get`` = the alignment barrier — no replayer is mid-batch), evicts,
+# drains the bucket actors' buffered emissions into one atomically-manifested
 # partition, and snapshots {open state, per-replayer offsets, watermark
 # marks} in a single checkpoint record. Crash recovery re-creates actors
 # from the snapshot and replays exactly the lost span: committed output has
@@ -1420,214 +1241,153 @@ class CheckpointingJoinRunner(StreamingJoinRunner):
 # ---------------------------------------------------------------------------
 
 
-class _ParallelCheckpointMixin:
-    """Epoch-driven checkpoint/resume state machine shared by the parallel
-    session and join checkpointing runners. Subclass provides the replay mode
-    (via _ParallelReplayBase hooks) plus the emission schema and final-flush
-    handle."""
+class _Checkpoint:
+    """The checkpointed side of one run of :meth:`_ParallelReplayBase._epochs`:
+    partitions committed exactly once into *out_dir* under a dense ``seq``,
+    and under ``_checkpoints/`` the latest record {epoch, per-replayer
+    offsets and eofs, watermark marks, late rows, commit seq, open-state
+    file, finalized}, each file replaced atomically."""
 
-    _emit_schema: "pa.Schema"
-    _kind: str
-
-    def _drain_handle(self, actor):
-        return actor.drain.remote()
-
-    def _final_handle(self, actor):
-        return actor.flush.remote()
-
-    def _run_checkpointed(  # noqa: C901 - checkpoint state machine
-        self,
-        parquet_path: str,
-        out_dir: str,
-        micro_batch_rows: int = 65_536,
-        checkpoint_every: int = 10,
-        stop_after_epochs: int | None = None,  # crash-injection hook (tests)
-    ):
-        import json
-        import os
-
-        from pipeflow_ray.state.manifest import commit_partition, prepare_sink
+    def __init__(self, runner: "_ParallelReplayBase", parquet_path: str, out_dir: str,
+                 stop_after_epochs: "int | None"):
+        from pipeflow_ray.state.manifest import prepare_sink
 
         prepare_sink(out_dir)
-        ck_dir = os.path.join(out_dir, "_checkpoints")
-        os.makedirs(ck_dir, exist_ok=True)
-        ck_json = os.path.join(ck_dir, "latest.json")
+        self.runner = runner
+        self.input = parquet_path
+        self.out_dir = out_dir
+        self.dir = os.path.join(out_dir, "_checkpoints")
+        os.makedirs(self.dir, exist_ok=True)
+        self.json = os.path.join(self.dir, "latest.json")
+        self.stop_after = stop_after_epochs  # crash-injection hook (tests)
+        self.epoch = self.commit_seq = self.base_late = self.epochs_run = 0
+        self.finalized = False
+        self.wm = None
+        self.actors: list = []
 
-        files = _shard_files(parquet_path)
-        groups = _shard_groups(files, self.max_replayers)
-        n = len(groups)
+    def start(self, n: int, wm, actors: list) -> tuple[list, list]:
+        """→ (offsets, eofs) the *n* replayers start from: zeros, or the
+        latest record's, whose watermark marks and open state (each row sent
+        to the bucket its key routes to) are loaded into *wm* / *actors*."""
+        self.wm, self.actors = wm, actors
+        if not os.path.exists(self.json):
+            return [0] * n, [False] * n
+        with open(self.json) as f:
+            ck = json.load(f)
+        if ck["replayers"] != n:
+            raise ValueError("resume requires the same shard grouping as the checkpointed run")
+        self.epoch, self.commit_seq = ck["epoch"], ck["commit_seq"]
+        self.base_late = ck["late_rows"]  # replayer late counters restart per run
+        self.finalized = ck.get("finalized", False)
+        ray.get(wm.load.remote(ck["marks"]))
+        state = pd.read_parquet(os.path.join(self.dir, ck["state_file"]))
+        if len(state):
+            bucket = _bucket_of(state[getattr(self.runner, "key", "conv_id")], len(actors))
+            ray.get([a.load_state.remote(state[bucket == b]) for b, a in enumerate(actors)])
+        return ck["offsets"], ck["eofs"]
 
-        actors = [self._make_bucket_actor() for _ in range(self.num_buckets)]
-        wm = _acquire(WatermarkActor, list(range(n)))
+    def epoch_done(self, results: list) -> bool:
+        """End of an epoch, after its barrier eviction: drain → commit →
+        snapshot. False = simulated crash (``stop_after_epochs`` reached
+        mid-stream): nothing drained, committed or snapshotted."""
+        self.epochs_run += 1
+        self.epoch += 1
+        if (self.stop_after is not None and self.epochs_run >= self.stop_after
+                and not all(r[4] for r in results)):
+            return False
+        self.commit([a.drain.remote() for a in self.actors],
+                    {"kind": self.runner._kind, "seq": self.commit_seq})
+        self.snapshot(results)
+        return True
 
-        offsets = [0] * n
-        eofs = [False] * n
-        commit_seq = 0
-        epoch = 0
-        base_late = 0
-        finalized = False
-        if os.path.exists(ck_json):
-            with open(ck_json) as f:
-                ck = json.load(f)
-            if ck["replayers"] != n:
-                raise ValueError(
-                    "resume requires the same shard grouping as the checkpointed run"
-                )
-            offsets = ck["offsets"]
-            eofs = ck["eofs"]
-            commit_seq = ck["commit_seq"]
-            epoch = ck["epoch"]
-            base_late = ck["late_rows"]
-            finalized = ck.get("finalized", False)
-            ray.get(wm.load.remote(ck["marks"]))
-            state_df = pd.read_parquet(os.path.join(ck_dir, ck["state_file"]))
-            if len(state_df):
-                state_key = getattr(self, "key", "conv_id")  # cep runners re-key
-                bucket = (
-                    pd.util.hash_array(state_df[state_key].to_numpy(dtype=object))
-                    % self.num_buckets
-                )
-                ray.get([
-                    actors[b].load_state.remote(state_df[bucket == b])
-                    for b in range(self.num_buckets)
-                ])
+    def finish(self, results: list) -> None:
+        """End of stream: flush open/buffered state into a final commit
+        unless a previous run ALREADY finalized (explicit marker — a
+        completed job's re-run must not accumulate empty partitions)."""
+        if self.epochs_run or not self.finalized:
+            self.commit([self.runner._final(a) for a in self.actors],
+                        {"kind": self.runner._kind + "-final"})
+            self.snapshot(results, final=True)
 
-        reps = [
-            _acquire(ShardReplayer, i, groups[i], self.mode, self._params(),
-                     self.lateness_us, micro_batch_rows, wm, actors,
-                     start_offset=offsets[i])
-            for i in range(n)
-        ]
-        run_late = [0] * n  # per-replayer late counters are cumulative per RUN
+    def commit(self, handles: list, lineage: dict) -> None:
+        from pipeflow_ray.state.manifest import commit_partition
 
-        def _commit_drained(seq: int) -> int:
-            parts = [p for p in ray.get([self._drain_handle(a) for a in actors]) if len(p)]
-            # empty epochs still commit a partition (the seq must be dense for
-            # resume) — with the DECLARED schema, not pandas' object-dtype
-            # guess, so read_committed concat never sees null-typed columns
-            body = (
-                pa.Table.from_pandas(pd.concat(parts, ignore_index=True),
-                                     schema=self._emit_schema, preserve_index=False)
-                if parts
-                else self._emit_schema.empty_table()
-            )
-            commit_partition(
-                body, out_dir, seq, ts_col=None,
-                lineage={"input": parquet_path, "kind": self._kind, "seq": seq},
-            )
-            return seq + 1
+        out = _concat(handles)
+        schema = self.runner._schema
+        # empty epochs still commit a partition (the seq must be dense for
+        # resume) — with the DECLARED schema, not pandas' object-dtype
+        # guess, so read_committed concat never sees null-typed columns
+        body = (schema.empty_table() if out is None
+                else pa.Table.from_pandas(out, schema=schema, preserve_index=False))
+        commit_partition(body, self.out_dir, self.commit_seq, ts_col=None,
+                         lineage={"input": self.input, **lineage})
+        self.commit_seq += 1
 
-        def _checkpoint(final: bool = False) -> None:
-            states = pd.concat(
-                ray.get([a.dump_state.remote() for a in actors]), ignore_index=True
-            )
-            state_file = f"state-{epoch:08d}.parquet"
-            tmp = os.path.join(ck_dir, state_file + ".tmp")
-            states.to_parquet(tmp)
-            os.replace(tmp, os.path.join(ck_dir, state_file))
-            rec = {
-                "epoch": epoch, "offsets": list(offsets), "eofs": list(eofs),
-                "marks": ray.get(wm.dump.remote()),
-                "late_rows": base_late + sum(run_late),
-                "commit_seq": commit_seq, "state_file": state_file,
-                "replayers": n, "finalized": final,
-            }
-            tmpj = ck_json + ".tmp"
-            with open(tmpj, "w") as f:
-                json.dump(rec, f)
-            os.replace(tmpj, ck_json)  # atomic: checkpoint becomes visible
+    def late_rows(self, results: list) -> int:
+        return self.base_late + sum(r[1] for r in results)
 
-        progressed = False
-        epochs_this_run = 0
-        while not all(eofs):
-            live = [i for i in range(n) if not eofs[i]]
-            res = ray.get([reps[i].replay.remote(checkpoint_every) for i in live])
-            # ^ the alignment barrier: every replayer quiescent past its epoch
-            for i, (_rows, late_i, _nulls, off_i, eof_i) in zip(live, res):
-                offsets[i] = off_i
-                eofs[i] = eof_i
-                run_late[i] = late_i
-            progressed = True
-            epochs_this_run += 1
-            epoch += 1
-            if stop_after_epochs is not None and epochs_this_run >= stop_after_epochs \
-                    and not all(eofs):
-                # simulated crash: no drain, no checkpoint (explicit kill ≈
-                # the process dying; a crashed topology never enters the cache)
-                _kill_actors(*reps, wm, *actors)
-                return None
-            # barrier eviction (all replayers quiescent — the only safe point,
-            # see SessionBucketActor.evict), then drain → commit → snapshot
-            gw = ray.get(wm.global_watermark.remote())
-            ray.get([a.evict.remote(gw) for a in actors])
-            commit_seq = _commit_drained(commit_seq)
-            _checkpoint()
+    def snapshot(self, results: list, final: bool = False) -> None:
+        states = pd.concat(
+            ray.get([a.dump_state.remote() for a in self.actors]), ignore_index=True
+        )
+        state_file = f"state-{self.epoch:08d}.parquet"
+        tmp = os.path.join(self.dir, state_file + ".tmp")
+        states.to_parquet(tmp)
+        os.replace(tmp, os.path.join(self.dir, state_file))
+        rec = {
+            "epoch": self.epoch, "offsets": [r[3] for r in results],
+            "eofs": [r[4] for r in results], "marks": ray.get(self.wm.dump.remote()),
+            "late_rows": self.late_rows(results), "commit_seq": self.commit_seq,
+            "state_file": state_file, "replayers": len(results), "finalized": final,
+        }
+        tmpj = self.json + ".tmp"
+        with open(tmpj, "w") as f:
+            json.dump(rec, f)
+        os.replace(tmpj, self.json)  # atomic: checkpoint becomes visible
 
-        # end of stream: flush open/buffered state + final commit unless a
-        # previous run ALREADY finalized (explicit marker — a completed job's
-        # re-run must not accumulate empty partitions)
-        if progressed or not finalized:
-            parts = [p for p in ray.get([self._final_handle(a) for a in actors]) if len(p)]
-            body = (
-                pa.Table.from_pandas(pd.concat(parts, ignore_index=True),
-                                     schema=self._emit_schema, preserve_index=False)
-                if parts
-                else self._emit_schema.empty_table()
-            )
-            commit_partition(
-                body, out_dir, commit_seq,
-                ts_col=None, lineage={"input": parquet_path, "kind": self._kind + "-final"},
-            )
-            commit_seq += 1
-            _checkpoint(final=True)
+
+class _ParallelCheckpointMixin:
+    """The checkpointed ``run`` of every mode: the mode's epoch loop with a
+    :class:`_Checkpoint` at each barrier. A ``ParallelCheckpointing*Runner``
+    is this mixin over its plain runner plus ``_kind``, the lineage kind of
+    its committed partitions."""
+
+    _kind: str
+
+    def run(self, parquet_path: str, out_dir: str, micro_batch_rows: int = 65_536,
+            checkpoint_every: int = 10, stop_after_epochs: int | None = None):
+        """→ {partitions, late_rows, epochs, open_state, replayers}, or None
+        after a simulated crash (*stop_after_epochs*, counted in this run)."""
+        ck = _Checkpoint(self, parquet_path, out_dir, stop_after_epochs)
+        done = self._epochs(parquet_path, micro_batch_rows, checkpoint_every, ck)
+        if done is None:
+            return None
+        (reps, wm, actors), results, _n_files = done
+        ck.finish(results)
         open_state = sum(ray.get([a.state_size.remote() for a in actors]))
         _release(*reps, wm, *actors)
         return {
-            "partitions": commit_seq,
-            "late_rows": base_late + sum(run_late),
-            "epochs": epoch,
+            "partitions": ck.commit_seq,
+            "late_rows": ck.late_rows(results),
+            "epochs": ck.epoch,
             "open_state": open_state,
-            "replayers": n,
+            "replayers": len(reps),
         }
 
 
 class ParallelCheckpointingSessionRunner(_ParallelCheckpointMixin, ParallelStreamingRunner):
-    """Distributed-ingest streaming sessionization with epoch-aligned
-    checkpoints and exactly-once committed output — the parallel form of
-    :class:`CheckpointingSessionRunner` (same manifest/commit recipe, but
-    every byte decodes in replayer actors and ingest scales with shards)."""
+    """Streaming sessionization with epoch-aligned checkpoints and
+    exactly-once committed output (the ``start_us``/``end_us`` form of the
+    session schema); ``max_replayers=1`` replays the log in total order."""
 
-    _emit_schema = pa.schema([
-        ("conv_id", pa.string()), ("start_us", pa.int64()), ("end_us", pa.int64()),
-        ("n_turns", pa.int64()), ("n_chars", pa.int64()),
-    ])
     _kind = "stream-checkpoint"
-
-    def run(self, parquet_path: str, out_dir: str, micro_batch_rows: int = 65_536,
-            checkpoint_every: int = 10, stop_after_epochs: int | None = None):
-        return self._run_checkpointed(parquet_path, out_dir, micro_batch_rows,
-                                      checkpoint_every, stop_after_epochs)
 
 
 class ParallelCheckpointingJoinRunner(_ParallelCheckpointMixin, ParallelJoinRunner):
-    """Distributed-ingest streaming turn-response join with epoch-aligned
-    checkpoints and exactly-once committed pair output — the parallel form of
-    :class:`CheckpointingJoinRunner`."""
+    """Streaming turn-response join with epoch-aligned checkpoints and
+    exactly-once committed pair output."""
 
-    _emit_schema = pa.schema([
-        ("conv_id", pa.string()), ("turn_idx", pa.int64()),
-        ("user_ts_us", pa.int64()), ("resp_ts_us", pa.int64()),
-        ("user_chars", pa.int64()), ("resp_chars", pa.int64()),
-    ])
     _kind = "join-checkpoint"
-
-    def _final_handle(self, actor):
-        return actor.drain.remote()  # pairs have no open-state flush semantics
-
-    def run(self, parquet_path: str, out_dir: str, micro_batch_rows: int = 65_536,
-            checkpoint_every: int = 10, stop_after_epochs: int | None = None):
-        return self._run_checkpointed(parquet_path, out_dir, micro_batch_rows,
-                                      checkpoint_every, stop_after_epochs)
 
 
 @ray.remote(num_cpus=0)
@@ -1710,14 +1470,8 @@ class AbsenceBucketActor(_Reusable):
         self._decide(watermark_us, final=False)
 
     def flush(self) -> pd.DataFrame:
-        from pipeflow_ray.stages.cep import empty_absence
-
         self._decide(1 << 62, final=True)
-        parts = self.buf
-        self.buf = []
-        if parts:
-            return pd.concat(parts, ignore_index=True)
-        return empty_absence(self.key)
+        return self.drain()
 
     def state_size(self) -> int:
         n = 0 if self.carry is None else len(self.carry)
@@ -1755,6 +1509,7 @@ class ParallelAbsenceRunner(_ParallelReplayBase):
     (tested)."""
 
     mode = "cep"
+    _count = "timeouts"
 
     def __init__(self, trigger, response, within_us: int,
                  lateness_s: float = 3600.0, num_buckets: int = 8,
@@ -1770,6 +1525,7 @@ class ParallelAbsenceRunner(_ParallelReplayBase):
         self.order = order
         self.ts_col = ts_col
         self.columns = pattern_columns(self.steps, (), key, order, ts_col)
+        self._schema = _out_schema(key, ("start_turn_idx", "ts_us"), ("reason",))
 
     def _params(self) -> dict:
         return {"steps": self.steps, "within_us": self.within_us, "emit": (),
@@ -1779,18 +1535,6 @@ class ParallelAbsenceRunner(_ParallelReplayBase):
     def _make_bucket_actor(self):
         return _acquire(AbsenceBucketActor, self.within_us, key=self.key,
                         order=self.order)
-
-    def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        from pipeflow_ray.stages.cep import empty_absence
-
-        actors, results, n_files = self._replay_all(parquet_path, micro_batch_rows)
-        out = [f for f in ray.get([self._collect(a) for a in actors]) if len(f)]
-        self._teardown(actors)
-        timeouts = (pd.concat(out, ignore_index=True) if out
-                    else empty_absence(self.key))
-        metrics = self._metrics(results, n_files)
-        metrics["timeouts"] = int(len(timeouts))
-        return timeouts, metrics
 
 
 @ray.remote(num_cpus=0)
@@ -2127,16 +1871,10 @@ class KleeneBucketActor(_Reusable):
             self.buf.append(frame)
 
     def flush(self) -> pd.DataFrame:
-        from pipeflow_ray.stages.cep import empty_kleene
-
         self.evict(1 << 62, final=True)
-        parts = self.buf
-        self.buf = []
         self.carry = None
         self.summaries = {}
-        if parts:
-            return pd.concat(parts, ignore_index=True)
-        return empty_kleene(self.key, self.emit)
+        return self.drain()
 
     def state_size(self) -> int:
         n = 0 if self.carry is None else len(self.carry)
@@ -2231,6 +1969,7 @@ class ParallelKleeneRunner(_ParallelReplayBase):
     batch parity under ANY gap). See :class:`KleeneBucketActor`."""
 
     mode = "cep"
+    _count = "matches"
 
     def __init__(self, steps, within_us: int | None = None,
                  lateness_s: float = 3600.0, num_buckets: int = 8,
@@ -2240,7 +1979,12 @@ class ParallelKleeneRunner(_ParallelReplayBase):
                  read_columns: "list[str] | None" = None,
                  seal_gap_s: float | None = None, stitch: bool = False,
                  emit=()):
-        from pipeflow_ray.stages.cep import MAX_STEPS, check_kleene_emit, pattern_columns
+        from pipeflow_ray.stages.cep import (
+            KLEENE_COLS,
+            MAX_STEPS,
+            check_kleene_emit,
+            pattern_columns,
+        )
 
         super().__init__(lateness_s, num_buckets, max_replayers, epoch_batches)
         plus_idx = [i for i, s in enumerate(steps)
@@ -2267,6 +2011,7 @@ class ParallelKleeneRunner(_ParallelReplayBase):
         self.derive = derive
         self.columns = read_columns or pattern_columns(self.steps, self.emit,
                                                        key, order, ts_col)
+        self._schema = _out_schema(key, KLEENE_COLS, [name for _o, _s, name in self.emit])
 
     def _params(self) -> dict:
         return {"steps": self.steps, "within_us": self.within_us,
@@ -2280,25 +2025,12 @@ class ParallelKleeneRunner(_ParallelReplayBase):
                         seal_gap_us=self.seal_gap_us,
                         stitch=self.stitch, emit=self.emit)
 
-    def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
-        from pipeflow_ray.stages.cep import empty_kleene
-
-        actors, results, n_files = self._replay_all(parquet_path, micro_batch_rows)
-        out = [f for f in ray.get([self._collect(a) for a in actors]) if len(f)]
-        self._teardown(actors)
-        matches = (pd.concat(out, ignore_index=True) if out
-                   else empty_kleene(self.key, self.emit))
-        metrics = self._metrics(results, n_files)
-        metrics["matches"] = int(len(matches))
-        return matches, metrics
-
 
 class ParallelCheckpointingCepRunner(_ParallelCheckpointMixin, ParallelCepRunner):
-    """Distributed-ingest streaming CEP with epoch-aligned checkpoints and
-    exactly-once committed match output — the CEP form of
-    :class:`ParallelCheckpointingSessionRunner`. State snapshot = the
-    partial-match row tails (at most k−1 sealed rows + unsealed rows per
-    key), re-routed to bucket actors on resume by the same key hash.
+    """Streaming CEP with epoch-aligned checkpoints and exactly-once
+    committed match output. State snapshot = the partial-match row tails (at
+    most k−1 sealed rows + unsealed rows per key), re-routed to bucket
+    actors on resume by the same key hash.
 
     Emit columns default to ``pa.string()`` in the committed schema; pass
     ``emit_types={name: pa.DataType}`` for non-string emissions."""
@@ -2307,19 +2039,10 @@ class ParallelCheckpointingCepRunner(_ParallelCheckpointMixin, ParallelCepRunner
 
     def __init__(self, *args, emit_types: dict | None = None, **kwargs):
         super().__init__(*args, **kwargs)
-        fields = [
-            (self.key, pa.string()),
-            ("start_turn_idx", pa.int64()), ("end_turn_idx", pa.int64()),
-            ("start_ts_us", pa.int64()), ("end_ts_us", pa.int64()),
-        ]
-        for _off, _src, name in self.emit:
-            fields.append((name, (emit_types or {}).get(name, pa.string())))
-        self._emit_schema = pa.schema(fields)
-
-    def run(self, parquet_path: str, out_dir: str, micro_batch_rows: int = 65_536,
-            checkpoint_every: int = 10, stop_after_epochs: int | None = None):
-        return self._run_checkpointed(parquet_path, out_dir, micro_batch_rows,
-                                      checkpoint_every, stop_after_epochs)
+        # the plain schema (key, four int64 match columns, emit columns)
+        # with the emit columns retyped
+        self._schema = _out_schema(self.key, self._schema.names[1:5],
+                                   self._schema.names[5:], emit_types)
 
 
 class ParallelCheckpointingAbsenceRunner(_ParallelCheckpointMixin, ParallelAbsenceRunner):
@@ -2329,37 +2052,12 @@ class ParallelCheckpointingAbsenceRunner(_ParallelCheckpointMixin, ParallelAbsen
 
     _kind = "absence-checkpoint"
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._emit_schema = pa.schema([
-            (self.key, pa.string()), ("start_turn_idx", pa.int64()),
-            ("ts_us", pa.int64()), ("reason", pa.string()),
-        ])
-
-    def run(self, parquet_path: str, out_dir: str, micro_batch_rows: int = 65_536,
-            checkpoint_every: int = 10, stop_after_epochs: int | None = None):
-        return self._run_checkpointed(parquet_path, out_dir, micro_batch_rows,
-                                      checkpoint_every, stop_after_epochs)
-
 
 class ParallelCheckpointingKleeneRunner(_ParallelCheckpointMixin, ParallelKleeneRunner):
     """Checkpointed streaming Kleene-plus: epoch recipe over the breaker-
     retained run state (see KleeneBucketActor's prev_wm-free resume note)."""
 
     _kind = "kleene-checkpoint"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._emit_schema = pa.schema([
-            (self.key, pa.string()), ("start_turn_idx", pa.int64()),
-            ("end_turn_idx", pa.int64()), ("start_ts_us", pa.int64()),
-            ("end_ts_us", pa.int64()), ("run_len", pa.int64()),
-        ])
-
-    def run(self, parquet_path: str, out_dir: str, micro_batch_rows: int = 65_536,
-            checkpoint_every: int = 10, stop_after_epochs: int | None = None):
-        return self._run_checkpointed(parquet_path, out_dir, micro_batch_rows,
-                                      checkpoint_every, stop_after_epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -2380,15 +2078,14 @@ def _replay_ingest_shard(files: list, columns: list, key_col: "str | None",
                          *buckets) -> tuple[int, int]:
     """Stream one shard group: decode each micro-batch, drop (and count) the
     rows whose *key_col* is null, reduce the rest with *partial* to
-    ``(keys, *payload)`` arrays, route each row of them to bucket
-    ``hash_array(keys) % nb`` — the rule :meth:`ShardReplayer._route` uses —
+    ``(keys, *payload)`` arrays, route each row of them to the bucket
+    :func:`_bucket_of` gives — the rule :meth:`ShardReplayer._route` uses —
     and send every non-empty slice to its bucket actor. Per-batch futures
     pipeline (same-caller ordering) up to a 256-future backpressure cap.
     Module-level task, explicit args (long-session rule). Returns
     (rows read, null-key rows dropped)."""
     import pyarrow.compute as pc
 
-    nb = np.uint64(len(buckets))
     rows = null_keys = 0
     pending: list = []
     for f in files:
@@ -2403,7 +2100,7 @@ def _replay_ingest_shard(files: list, columns: list, key_col: "str | None",
             if not t.num_rows:
                 continue
             keys, *payload = partial(t, *partial_args)
-            b = pd.util.hash_array(keys) % nb
+            b = _bucket_of(keys, len(buckets))
             for k in range(len(buckets)):
                 m = b == k
                 if m.any():

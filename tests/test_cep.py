@@ -762,14 +762,16 @@ def test_parallel_checkpoint_absence_kleene_crash_resume(tmp_path, which):
     else:
         if which == "kleene-stitch":
             # suffix-free + stitch: open-run summaries must survive the
-            # checkpoint snapshot and key-hash re-routing on resume
+            # checkpoint snapshot and key-hash re-routing on resume, and the
+            # committed partitions must carry the emit columns
             steps = [{"nc": (">=", 1000)}, ("+", {"nc": ("<", 300)})]
-            extra = dict(stitch=True)
+            extra = dict(stitch=True,
+                         emit=((0, "role", "start_role"), (-1, "role", "end_role")))
         else:
             steps = [{"nc": (">=", 1000)}, ("+", {"nc": ("<", 300)}), {"nc": (">=", 1000)}]
             extra = {}
         kw = dict(within_us=1_800_000_000, lateness_s=6 * 3600.0, num_buckets=4,
-                  derive=_derive, read_columns=["conv_id", "turn_idx", "text", "ts"],
+                  derive=_derive, read_columns=["conv_id", "turn_idx", "role", "text", "ts"],
                   **extra)
         mk_ck = lambda: ParallelCheckpointingKleeneRunner(steps, **kw)  # noqa: E731
         mk_plain = lambda: ParallelKleeneRunner(steps, **kw)  # noqa: E731

@@ -315,13 +315,17 @@ def test_checkpoint_finalized_marker_recovers_crash_window(tmp_path):
 
     from pipeflow_ray.fixtures import gen_transcripts
     import pyarrow.parquet as pq_mod
-    from pipeflow_ray.pipelines.streaming import CheckpointingSessionRunner
+    from pipeflow_ray.pipelines.streaming import ParallelCheckpointingSessionRunner
     from pipeflow_ray.state.manifest import completed_partitions, read_committed
+
+    def runner():
+        return ParallelCheckpointingSessionRunner(
+            gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=2, max_replayers=1)
 
     src = str(tmp_path / "in.parquet")
     pq_mod.write_table(gen_transcripts(1200, seed=9), src)
     out = str(tmp_path / "out")
-    r = CheckpointingSessionRunner(gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=2)
+    r = runner()
     r.run(src, out, micro_batch_rows=128, checkpoint_every=3)
     rows = read_committed(out).num_rows
     n_parts = len(completed_partitions(out))
@@ -332,11 +336,11 @@ def test_checkpoint_finalized_marker_recovers_crash_window(tmp_path):
     # simulate the crash window: marker cleared, job must re-finalize
     rec["finalized"] = False
     json.dump(rec, open(ck, "w"))
-    r2 = CheckpointingSessionRunner(gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=2)
+    r2 = runner()
     r2.run(src, out, micro_batch_rows=128, checkpoint_every=3)
     assert json.load(open(ck))["finalized"] is True
     assert read_committed(out).num_rows == rows  # no duplicates introduced
     # and a normal re-run after finalization is a pure no-op
-    r3 = CheckpointingSessionRunner(gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=2)
+    r3 = runner()
     r3.run(src, out, micro_batch_rows=128, checkpoint_every=3)
     assert read_committed(out).num_rows == rows

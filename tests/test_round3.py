@@ -39,13 +39,10 @@ def _sorted(df: pd.DataFrame, cols) -> pd.DataFrame:
 
 def test_parallel_tumbling_equals_single_driver(sharded_transcripts):
     """Parallel-replay tumbling windows must equal the (batch-equality-tested)
-    single-driver runner; min-watermark keeps every row on time (within-shard
+    single-replayer run; min-watermark keeps every row on time (within-shard
     disorder ≤ 2h < lateness, and the global watermark never outruns the
     slowest shard)."""
-    from pipeflow_ray.pipelines.streaming import (
-        ParallelTumblingRunner,
-        StreamingTumblingRunner,
-    )
+    from pipeflow_ray.pipelines.streaming import ParallelTumblingRunner
 
     shard_dir, single, n_rows = sharded_transcripts
     par, m = ParallelTumblingRunner(
@@ -54,8 +51,8 @@ def test_parallel_tumbling_equals_single_driver(sharded_transcripts):
     assert m["rows"] == n_rows and m["late_rows"] == 0
     assert m["replayers"] == 5 and sum(m["replayer_rows"]) == n_rows
 
-    ref, _ = StreamingTumblingRunner(
-        width_s=3600.0, lateness_s=3 * 3600.0, num_buckets=4
+    ref, _ = ParallelTumblingRunner(
+        width_s=3600.0, lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1
     ).run(single, micro_batch_rows=256)
 
     cols = ["key", "window_start_us"]
@@ -64,10 +61,7 @@ def test_parallel_tumbling_equals_single_driver(sharded_transcripts):
 
 
 def test_parallel_sliding_equals_single_driver(sharded_transcripts):
-    from pipeflow_ray.pipelines.streaming import (
-        ParallelSlidingRunner,
-        StreamingSlidingRunner,
-    )
+    from pipeflow_ray.pipelines.streaming import ParallelSlidingRunner
 
     shard_dir, single, n_rows = sharded_transcripts
     par, m = ParallelSlidingRunner(
@@ -75,8 +69,9 @@ def test_parallel_sliding_equals_single_driver(sharded_transcripts):
     ).run(shard_dir, micro_batch_rows=256)
     assert m["rows"] == n_rows and m["late_rows"] == 0
 
-    ref, _ = StreamingSlidingRunner(
-        width_s=7200.0, slide_s=3600.0, lateness_s=3 * 3600.0, num_buckets=4
+    ref, _ = ParallelSlidingRunner(
+        width_s=7200.0, slide_s=3600.0, lateness_s=3 * 3600.0, num_buckets=4,
+        max_replayers=1,
     ).run(single, micro_batch_rows=256)
 
     cols = ["key", "window_start_us"]
@@ -256,8 +251,8 @@ def test_streaming_window_runners_count_null_ts(tmp_path):
     import pyarrow as pa
 
     from pipeflow_ray.pipelines.streaming import (
-        StreamingSlidingRunner,
-        StreamingTumblingRunner,
+        ParallelSlidingRunner,
+        ParallelTumblingRunner,
     )
 
     t = pa.table({
@@ -268,9 +263,10 @@ def test_streaming_window_runners_count_null_ts(tmp_path):
     p = str(tmp_path / "null_ts.parquet")
     pq.write_table(t, p)
 
-    w, m = StreamingTumblingRunner(width_s=1.0, lateness_s=10.0, num_buckets=2).run(p)
+    w, m = ParallelTumblingRunner(width_s=1.0, lateness_s=10.0, num_buckets=2,
+                                  max_replayers=1).run(p)
     assert m["null_ts_rows"] == 2 and m["rows"] == 4 and len(w) == 2
 
-    w2, m2 = StreamingSlidingRunner(width_s=2.0, slide_s=1.0, lateness_s=10.0,
-                                    num_buckets=2).run(p)
+    w2, m2 = ParallelSlidingRunner(width_s=2.0, slide_s=1.0, lateness_s=10.0,
+                                   num_buckets=2, max_replayers=1).run(p)
     assert m2["null_ts_rows"] == 2 and len(w2) == 4  # 2 rows × 2 windows

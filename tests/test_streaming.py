@@ -162,9 +162,10 @@ def test_flagship_resume_recomputes_only_missing(transcripts_path, tmp_path):
 def test_streaming_tumbling_equals_batch(transcripts_path):
     """Streaming tumbling windows (watermark finalization, generous lateness)
     must equal the batch tumbling aggregate."""
-    from pipeflow_ray.pipelines.streaming import StreamingTumblingRunner
+    from pipeflow_ray.pipelines.streaming import ParallelTumblingRunner
 
-    runner = StreamingTumblingRunner(width_s=3600.0, lateness_s=3 * 3600.0, num_buckets=4)
+    runner = ParallelTumblingRunner(width_s=3600.0, lateness_s=3 * 3600.0, num_buckets=4,
+                                    max_replayers=1)
     windows, metrics = runner.run(transcripts_path, micro_batch_rows=128)
     assert metrics["late_rows"] == 0
     assert windows.n.sum() == metrics["rows"]
@@ -184,9 +185,10 @@ def test_streaming_tumbling_equals_batch(transcripts_path):
 def test_streaming_tumbling_bounds_state(transcripts_path):
     """Watermark finalization must keep open-window state small relative to
     total (key, window) pairs."""
-    from pipeflow_ray.pipelines.streaming import StreamingTumblingRunner, TumblingBucketActor
+    from pipeflow_ray.pipelines.streaming import ParallelTumblingRunner
 
-    runner = StreamingTumblingRunner(width_s=3600.0, lateness_s=600.0, num_buckets=2)
+    runner = ParallelTumblingRunner(width_s=3600.0, lateness_s=600.0, num_buckets=2,
+                                    max_replayers=1)
     windows, metrics = runner.run(transcripts_path, micro_batch_rows=128)
     # conservation: every on-time row lands in exactly one emitted window
     assert windows.n.sum() + metrics["late_rows"] == metrics["rows"]
@@ -245,26 +247,30 @@ def test_checkpoint_resume_midstream_exactly_once(transcripts_path, tmp_path):
     """Kill the streaming job mid-stream (after 7 of ~20 micro-batches), then
     resume from the checkpoint: committed output must equal an uninterrupted
     run AND the batch oracle — no duplicates, no gaps."""
-    from pipeflow_ray.pipelines.streaming import CheckpointingSessionRunner
+    from pipeflow_ray.pipelines.streaming import ParallelCheckpointingSessionRunner
     from pipeflow_ray.state.manifest import read_committed
 
     kw = dict(micro_batch_rows=64, checkpoint_every=3)  # ~16 micro-batches
 
+    def runner():
+        return ParallelCheckpointingSessionRunner(
+            gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1)
+
     # uninterrupted reference run
     full_dir = str(tmp_path / "full")
-    r1 = CheckpointingSessionRunner(gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=4)
+    r1 = runner()
     m_full = r1.run(transcripts_path, full_dir, **kw)
     assert m_full is not None
     full = read_committed(full_dir).to_pandas().sort_values(
         ["conv_id", "start_us"]).reset_index(drop=True)
 
-    # crashed run: stops after 7 batches, no final flush
+    # crashed run: stops after 3 epochs of 3 batches, no final flush
     crash_dir = str(tmp_path / "crash")
-    r2 = CheckpointingSessionRunner(gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=4)
-    assert r2.run(transcripts_path, crash_dir, stop_after_batches=7, **kw) is None
+    r2 = runner()
+    assert r2.run(transcripts_path, crash_dir, stop_after_epochs=3, **kw) is None
 
     # resume from the surviving checkpoint → completes
-    r3 = CheckpointingSessionRunner(gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=4)
+    r3 = runner()
     m_res = r3.run(transcripts_path, crash_dir, **kw)
     assert m_res is not None
     resumed = read_committed(crash_dir).to_pandas().sort_values(
@@ -285,10 +291,10 @@ def test_checkpoint_resume_midstream_exactly_once(transcripts_path, tmp_path):
 def test_streaming_join_equals_batch_join(transcripts_path):
     """Incremental actor-state join must equal the batch turn-response join
     when the eviction gap covers the stream's disorder."""
-    from pipeflow_ray.pipelines.streaming import StreamingJoinRunner
+    from pipeflow_ray.pipelines.streaming import ParallelJoinRunner
     from pipeflow_ray.stages.join import turn_response_join
 
-    runner = StreamingJoinRunner(lateness_s=3 * 3600.0, num_buckets=4)
+    runner = ParallelJoinRunner(lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1)
     pairs, metrics = runner.run(transcripts_path, micro_batch_rows=128)
 
     ds = ray.data.read_parquet(transcripts_path)
@@ -305,9 +311,10 @@ def test_streaming_join_equals_batch_join(transcripts_path):
 
 def test_streaming_join_evicts_unmatched(transcripts_path):
     """With a small eviction gap the pending-turn state must stay bounded."""
-    from pipeflow_ray.pipelines.streaming import StreamingJoinRunner
+    from pipeflow_ray.pipelines.streaming import ParallelJoinRunner
 
-    runner = StreamingJoinRunner(lateness_s=600.0, eviction_gap_s=600.0, num_buckets=4)
+    runner = ParallelJoinRunner(lateness_s=600.0, eviction_gap_s=600.0, num_buckets=4,
+                                max_replayers=1)
     pairs, metrics = runner.run(transcripts_path, micro_batch_rows=128)
     assert metrics["open_state"] < metrics["rows"] * 0.2  # evicted, not hoarded
 
@@ -315,10 +322,10 @@ def test_streaming_join_evicts_unmatched(transcripts_path):
 def test_streaming_sliding_equals_batch(transcripts_path):
     """Streaming sliding windows (2h width / 1h slide; row replicated into
     both containing windows) must equal the batch sliding aggregate."""
-    from pipeflow_ray.pipelines.streaming import StreamingSlidingRunner
+    from pipeflow_ray.pipelines.streaming import ParallelSlidingRunner
 
-    runner = StreamingSlidingRunner(width_s=7200.0, slide_s=3600.0,
-                                    lateness_s=3 * 3600.0, num_buckets=4)
+    runner = ParallelSlidingRunner(width_s=7200.0, slide_s=3600.0,
+                                   lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1)
     windows, metrics = runner.run(transcripts_path, micro_batch_rows=128)
     assert metrics["late_rows"] == 0
     assert windows.n.sum() == 2 * metrics["rows"]  # every row in exactly 2 windows
@@ -347,29 +354,33 @@ def test_join_checkpoint_resume_midstream_exactly_once(transcripts_path, tmp_pat
     pairs must equal an uninterrupted run AND the plain streaming join —
     no duplicates, no gaps."""
     from pipeflow_ray.pipelines.streaming import (
-        CheckpointingJoinRunner,
-        StreamingJoinRunner,
+        ParallelCheckpointingJoinRunner,
+        ParallelJoinRunner,
     )
     from pipeflow_ray.state.manifest import read_committed
 
     kw = dict(micro_batch_rows=64, checkpoint_every=3)
     key = ["conv_id", "turn_idx"]
 
+    def runner():
+        return ParallelCheckpointingJoinRunner(lateness_s=3 * 3600.0, num_buckets=4,
+                                               max_replayers=1)
+
     full_dir = str(tmp_path / "full")
-    r1 = CheckpointingJoinRunner(lateness_s=3 * 3600.0, num_buckets=4)
+    r1 = runner()
     assert r1.run(transcripts_path, full_dir, **kw) is not None
     full = read_committed(full_dir).to_pandas().sort_values(key).reset_index(drop=True)
 
     crash_dir = str(tmp_path / "crash")
-    r2 = CheckpointingJoinRunner(lateness_s=3 * 3600.0, num_buckets=4)
-    assert r2.run(transcripts_path, crash_dir, stop_after_batches=5, **kw) is None
+    r2 = runner()
+    assert r2.run(transcripts_path, crash_dir, stop_after_epochs=2, **kw) is None
 
-    r3 = CheckpointingJoinRunner(lateness_s=3 * 3600.0, num_buckets=4)
+    r3 = runner()
     assert r3.run(transcripts_path, crash_dir, **kw) is not None
     resumed = read_committed(crash_dir).to_pandas().sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(resumed, full)
 
-    plain, _m = StreamingJoinRunner(lateness_s=3 * 3600.0, num_buckets=4).run(
+    plain, _m = ParallelJoinRunner(lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1).run(
         transcripts_path, micro_batch_rows=64
     )
     plain = plain.sort_values(key).reset_index(drop=True)[full.columns.tolist()]
@@ -381,17 +392,25 @@ def test_checkpoint_reruns_are_noops(transcripts_path, tmp_path):
     commit nothing new, and leave the committed output identical (no empty
     partitions accumulating, no re-flushed state)."""
     from pipeflow_ray.pipelines.streaming import (
-        CheckpointingJoinRunner,
-        CheckpointingSessionRunner,
+        ParallelCheckpointingJoinRunner,
+        ParallelCheckpointingSessionRunner,
     )
     from pipeflow_ray.state.manifest import completed_partitions, read_committed
 
+    def session_runner():
+        return ParallelCheckpointingSessionRunner(
+            gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=2, max_replayers=1)
+
+    def join_runner():
+        return ParallelCheckpointingJoinRunner(lateness_s=3 * 3600.0, num_buckets=2,
+                                               max_replayers=1)
+
     s_dir = str(tmp_path / "s")
-    r = CheckpointingSessionRunner(gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=2)
+    r = session_runner()
     m1 = r.run(transcripts_path, s_dir, micro_batch_rows=256, checkpoint_every=4)
     n_parts = len(completed_partitions(s_dir))
     rows1 = read_committed(s_dir).num_rows
-    m2 = CheckpointingSessionRunner(gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=2).run(
+    m2 = session_runner().run(
         transcripts_path, s_dir, micro_batch_rows=256, checkpoint_every=4
     )
     assert len(completed_partitions(s_dir)) == n_parts
@@ -399,11 +418,11 @@ def test_checkpoint_reruns_are_noops(transcripts_path, tmp_path):
     assert m1["partitions"] == m2["partitions"]
 
     j_dir = str(tmp_path / "j")
-    jr = CheckpointingJoinRunner(lateness_s=3 * 3600.0, num_buckets=2)
+    jr = join_runner()
     jm1 = jr.run(transcripts_path, j_dir, micro_batch_rows=256, checkpoint_every=4)
     jn = len(completed_partitions(j_dir))
     jrows = read_committed(j_dir).num_rows
-    jm2 = CheckpointingJoinRunner(lateness_s=3 * 3600.0, num_buckets=2).run(
+    jm2 = join_runner().run(
         transcripts_path, j_dir, micro_batch_rows=256, checkpoint_every=4
     )
     assert len(completed_partitions(j_dir)) == jn
@@ -683,6 +702,47 @@ def test_on_ingest_empty_input_keeps_output_types(tmp_path, family):
         assert len(empty) == 0 and len(full) > 0
         assert empty.dtypes.to_dict() == full.dtypes.to_dict()
     assert metrics["rows"] == 0 and metrics["null_key_rows"] == 0
+
+
+_EVENT_TIME_RUNNERS = {
+    "session": lambda: streaming.ParallelStreamingRunner(num_buckets=2),
+    "tumbling": lambda: streaming.ParallelTumblingRunner(num_buckets=2),
+    "sliding": lambda: streaming.ParallelSlidingRunner(num_buckets=2),
+    "join": lambda: streaming.ParallelJoinRunner(num_buckets=2),
+    "cep": lambda: streaming.ParallelCepRunner(
+        [{"role": "user"}, {"role": "assistant"}], emit=((0, "role", "first_role"),),
+        num_buckets=2),
+    "absence": lambda: streaming.ParallelAbsenceRunner(
+        {"role": "user"}, {"role": ["assistant", "tool"]}, within_us=60_000_000,
+        num_buckets=2),
+    "kleene": lambda: streaming.ParallelKleeneRunner(
+        [{"role": "user"}, ("+", {"role": ["assistant", "tool"]}), {"role": "user"}],
+        emit=((0, "role", "first_role"),), num_buckets=2),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_EVENT_TIME_RUNNERS))
+def test_event_time_empty_input_is_typed(tmp_path, mode):
+    """A zero-row input yields no row, but the columns of a non-empty run,
+    typed: every count, index and microsecond column int64, session bounds
+    datetime64, keys and labels object (Arrow strings)."""
+    from pipeflow_ray.fixtures import gen_transcripts
+
+    table = gen_transcripts(400)
+    empty_path, full_path = str(tmp_path / "empty.parquet"), str(tmp_path / "full.parquet")
+    pq.write_table(table.slice(0, 0), empty_path)
+    pq.write_table(table, full_path)
+    empty, metrics = _EVENT_TIME_RUNNERS[mode]().run(empty_path)
+    full, _ = _EVENT_TIME_RUNNERS[mode]().run(full_path)
+    assert len(empty) == 0 and metrics["rows"] == 0 and len(full) > 0
+    assert list(empty.columns) == list(full.columns)
+    for col, dtype in empty.dtypes.items():
+        if col in ("session_start", "session_end"):
+            assert dtype == "datetime64[ns]", col
+        elif col in ("conv_id", "key", "reason", "first_role"):
+            assert dtype == object, col
+        else:
+            assert dtype == np.int64, col
 
 
 # ---------------------------------------------------------------------------
