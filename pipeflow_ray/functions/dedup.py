@@ -172,43 +172,6 @@ def _sig_with_text_batch(t: pa.Table, *, text_col: str, id_col: str,
     return _cached_hasher("with_text", text_col, id_col, num_perm, k, seed)(t)
 
 
-def minhash_lsh_candidates(
-    ds: ray.data.Dataset,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    num_perm: int = 64,
-    bands: int = 16,
-    k: int = 5,
-) -> ray.data.Dataset:
-    """MinHash → banded LSH → candidate pairs ``(id_a, id_b)`` (id_a < id_b).
-
-    Emits (band, band_hash, id) rows — integers only — and groupbys on the
-    band bucket; each bucket yields its within-bucket pairs. Pairs are
-    deduped across bands by a final distinct.
-    """
-    sigs = ds.map_batches(
-        _sig_batch,
-        fn_kwargs=dict(text_col=text_col, id_col=id_col, num_perm=num_perm,
-                       k=k, seed=42),
-        batch_format="pyarrow",
-    )
-    return _candidates_from_sigs(sigs, id_col, num_perm, bands)
-
-
-def _candidates_from_sigs(
-    sigs: ray.data.Dataset, id_col: str, num_perm: int, bands: int
-) -> ray.data.Dataset:
-    """Banded candidates, distinct across bands (one extra tiny-row exchange;
-    the fused pipeline uses :func:`_raw_candidates_from_sigs` and dedupes
-    inside the verify join instead)."""
-    from pipeflow_ray.stages.core import grouped_by_bucket
-
-    pairs = _raw_candidates_from_sigs(sigs, id_col, num_perm, bands)
-    return grouped_by_bucket(
-        pairs, ["id_a", "id_b"], lambda df: df.drop_duplicates(), batch_format="pandas"
-    )
-
-
 def _raw_candidates_from_sigs(
     sigs: ray.data.Dataset, id_col: str, num_perm: int, bands: int
 ) -> ray.data.Dataset:
@@ -397,53 +360,6 @@ def _stable_empty(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
     counts = ray.get([_nrows_task.remote(r) for r in refs])
     keep = [r for r, n in zip(refs, counts) if n > 0]
     return ray.data.from_arrow_refs(keep)
-
-
-def verify_jaccard(
-    pairs: ray.data.Dataset,
-    docs: ray.data.Dataset,
-    threshold: float,
-    text_col: str = "text",
-    id_col: str = "doc_id",
-    k: int = 5,
-) -> ray.data.Dataset:
-    """Exact shingle-Jaccard verification of candidate pairs via two
-    co-partitioned id joins (text_a on id_a, text_b on id_b) — texts stay in
-    tasks; only the candidate id ints touch the driver."""
-    pairs = pairs.materialize()  # consumed twice (id collection + join)
-    if pairs.count() == 0:
-        return ray.data.from_arrow(_EMPTY_JACCARD.empty_table())
-    flt, _n = _candidate_id_filter(pairs, id_col)
-    from pipeflow_ray.stages.core import exchange_keyed
-
-    # one id-keyed exchange, reused by both attaches (round-3 VERDICT #5)
-    cand_docs = exchange_keyed(
-        docs.map_batches(flt, batch_format="pyarrow").select_columns([id_col, text_col]),
-        [id_col], num_buckets=32,
-    )
-    with_a = attach_by_id(pairs, cand_docs, "id_a", id_col, [text_col], "_a")
-    with_b = attach_by_id(with_a, cand_docs, "id_b", id_col, [text_col], "_b")
-
-    def _score(t: pa.Table) -> pa.Table:
-        ja = np.empty(t.num_rows, np.float64)
-        cache: dict[int, np.ndarray] = {}
-        ids_a = t["id_a"].to_pylist()
-        ids_b = t["id_b"].to_pylist()
-        ta = t[f"{text_col}_a"].to_pylist()
-        tb = t[f"{text_col}_b"].to_pylist()
-        for i in range(t.num_rows):
-            sa = cache.get(ids_a[i])
-            if sa is None:
-                sa = cache[ids_a[i]] = _char_shingle_hashes(ta[i] or "", k)
-            sb = cache.get(ids_b[i])
-            if sb is None:
-                sb = cache[ids_b[i]] = _char_shingle_hashes(tb[i] or "", k)
-            inter = len(np.intersect1d(sa, sb, assume_unique=True))
-            ja[i] = inter / max(1, len(sa) + len(sb) - inter)
-        out = pa.table({"id_a": t["id_a"], "id_b": t["id_b"], "jaccard": pa.array(ja)})
-        return out.filter(pc.greater_equal(out["jaccard"], threshold))
-
-    return _stable_empty(with_b.map_batches(_score, batch_format="pyarrow"), _EMPTY_JACCARD)
 
 
 def _estimate_verify_batch(t: pa.Table, *, threshold: float, text_col: str,

@@ -3262,24 +3262,14 @@ def asof_join_events(sf_dir):
 )
 def streaming_join(sf_dir):
     """Incremental turn-response join over parallel shard replay (actor-held
-    pending-turn state, global min-watermark eviction, replayer-actor ingest —
-    the driver never decodes a batch). With eviction gap ≥ the fixture's 2h
-    disorder, the incremental result equals the batch join — which is what
-    the SQL oracle states."""
+    pending-turn state, eviction at epoch barriers against the min shard
+    watermark, replayer-actor ingest — the driver never decodes a batch).
+    With eviction gap ≥ the fixture's 2h disorder, the incremental result
+    equals the batch join — which is what the SQL oracle states."""
     from pipeflow_ray.pipelines.streaming import ParallelJoinRunner
 
     pairs, _metrics = ParallelJoinRunner(lateness_s=3 * 3600.0, num_buckets=8).run(_tp(sf_dir))
-    out = pd.DataFrame(
-        {
-            "conv_id": pairs.conv_id,
-            "turn_idx": pairs.turn_idx.astype(np.int64),
-            "user_ts_us": pairs.user_ts_us.astype(np.int64),
-            "resp_ts_us": pairs.resp_ts_us.astype(np.int64),
-            "user_chars": pairs.user_chars.astype(np.int64),
-            "resp_chars": pairs.resp_chars.astype(np.int64),
-        }
-    )
-    return out
+    return pairs
 
 
 @q(

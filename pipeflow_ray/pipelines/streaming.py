@@ -1,4 +1,4 @@
-"""Micro-batch streaming runtime: monotonic watermark, per-key session state
+"""Micro-batch streaming runtime: monotonic watermarks, per-key session state
 in an actor pool, late-data side output, watermark-driven eviction.
 
 This is the part of the north rule the Dataset API genuinely cannot express —
@@ -18,6 +18,9 @@ absence, Kleene) is one ``Parallel*Runner`` on one epoch loop
 (:meth:`_ParallelReplayBase._epochs`); ``max_replayers=1`` gives strict
 totally-ordered arrival, and each ``ParallelCheckpointing*Runner`` is the
 same runner with the checkpointed ``run`` of :class:`_ParallelCheckpointMixin`.
+Epoch barriers are the only coordination point: the driver holds the shard
+watermarks the replayers return, evicts against their min and hands them to
+the next epoch's replays, which judge lateness locally.
 :class:`StreamingSessionRunner` adds the late-row side output to the
 single-replayer session run. The aggregate-on-ingest runners (exact
 and KLL quantiles, vocabulary, exact dedup, HLL, top-k, conversation dedup)
@@ -56,14 +59,17 @@ import pyarrow.parquet as pq
 import ray
 
 US = 1_000_000
+_NO_MARK, _EOF_MARK = -(1 << 62), 1 << 62  # shard watermark: no row seen / at EOF
 
 
 def _n_chars(col) -> "pd.Series":
-    """Vectorized char count of a text column (Arrow kernel — ~20× faster
-    than pandas ``.str.len()`` over Python objects on the replay hot path)."""
+    """Vectorized int64 char count of a text column (Arrow kernel — ~20×
+    faster than pandas ``.str.len()`` over Python objects on the replay hot
+    path)."""
     import pyarrow.compute as pc
 
-    return pd.Series(pc.utf8_length(pc.fill_null(col, "")).to_numpy(zero_copy_only=False))
+    n = pc.utf8_length(pc.fill_null(col, "")).cast(pa.int64())
+    return pd.Series(n.to_numpy(zero_copy_only=False))
 
 
 def _session_fragments(df: pd.DataFrame, gap_us: int) -> pd.DataFrame:
@@ -94,8 +100,9 @@ def _session_fragments(df: pd.DataFrame, gap_us: int) -> pd.DataFrame:
 # Spawning is the expensive part (≈0.9 s of Python-process start per actor;
 # actors never reuse idle task workers), hence the warm cache below.
 
-_MAX_IDLE_ACTORS = 12  # ≥ 11, the largest pair of topologies run back to back
-# by the stream benchmark; an idle actor process holds ≈190 MB RSS
+_MAX_IDLE_ACTORS = 12  # ≥ 10 = 4 session buckets + 2 replayers, then 4 top-k
+# buckets: the largest pair of topologies run back to back by the stream
+# benchmark; an idle actor process holds ≈190 MB RSS
 _idle: list = []  # (class name, handle) of idle actors, least recently released first
 _idle_node: "str | None" = None  # the Ray node (session) the cached handles belong to
 _idle_lock = threading.Lock()  # runners may be driven from several driver threads
@@ -185,9 +192,9 @@ class SessionBucketActor(_Reusable):
     """Owns the open-session state for one hash bucket of conversations.
 
     State: ``conv_id → open fragment (start, end, n_turns, n_chars)``.
-    Eviction: a session is finalized (emitted + state dropped) once the
-    watermark passes ``session_end + gap`` — bounding state to open sessions
-    only.
+    ``process`` only merges; eviction (:meth:`evict`, run at epoch
+    barriers) finalizes a session once the watermark passes
+    ``session_end + gap`` — bounding state to open sessions only.
     """
 
     def __init__(self, gap_s: float):
@@ -225,23 +232,21 @@ class SessionBucketActor(_Reusable):
             a[0] = min(a[0], b[0]); a[1] = max(a[1], b[1]); a[2] += b[2]; a[3] += b[3]
             lst.pop(i + 1)
 
-    def process(self, frags: pd.DataFrame, watermark_us: int) -> None:
+    def process(self, frags: pd.DataFrame) -> None:
         for conv, s, e, n, c in frags.itertuples(index=False, name=None):
             self._insert(conv, s, e, n, c)
-        self.evict(watermark_us)
 
     def evict(self, watermark_us: int) -> None:
         """Finalize every fragment the watermark has passed by more than the
         gap (no non-late row can reach it: every future row has ts ≥
         watermark > end + gap) into the emission buffer.
 
-        Parallel replay routes batches with a −inf watermark and evicts only
-        here, at epoch barriers: evicting inside ``process`` races in-flight
-        batches carrying OLDER watermarks from other replayers — a mergeable
-        fragment could arrive after its neighbor was emitted, splitting one
-        session into two nondeterministically. At a barrier every replayer
-        is quiescent and the global min-watermark is a true lower bound on
-        all future event times."""
+        Called only at epoch barriers: evicting while other replayers'
+        batches are still in flight could emit a fragment before a mergeable
+        neighbor arrives, splitting one session into two
+        nondeterministically. At a barrier every replayer is quiescent and
+        the min of the shard watermarks bounds every future on-time event
+        time (see :meth:`_ParallelReplayBase._epochs`)."""
         gap = self.gap_us
         done: list[list] = []
         for conv in list(self.state):
@@ -328,8 +333,9 @@ class StreamingSessionRunner:
 class TumblingBucketActor(_Reusable):
     """Open tumbling-window state for one hash bucket of keys:
     ``(key, window_start_us) → [count, sum]`` partials. A window is finalized
-    (emitted + dropped) once the watermark passes ``window_end`` — classic
-    event-time tumbling aggregation with monotonic watermark finalization."""
+    (emitted + dropped) at the first epoch barrier whose watermark passes
+    ``window_end`` — classic event-time tumbling aggregation with monotonic
+    watermark finalization."""
 
     def __init__(self, width_s: float):
         self.width_us = int(width_s * US)
@@ -338,7 +344,7 @@ class TumblingBucketActor(_Reusable):
         # same discipline as SessionBucketActor
         self.buf: list[pd.DataFrame] = []
 
-    def process(self, partials: pd.DataFrame, watermark_us: int) -> None:
+    def process(self, partials: pd.DataFrame) -> None:
         state = self.state
         for key, ws, n, s in partials.itertuples(index=False, name=None):
             cur = state.get((key, ws))
@@ -347,13 +353,11 @@ class TumblingBucketActor(_Reusable):
             else:
                 cur[0] += n
                 cur[1] += s
-        self.evict(watermark_us)
 
     def evict(self, watermark_us: int) -> None:
-        """Finalize every window the watermark has passed. Parallel replay
-        calls it only at epoch barriers — see
-        :meth:`SessionBucketActor.evict`: in-flight eviction races an
-        older-watermark partial from another replayer, which would re-open an
+        """Finalize every window the watermark has passed. Called only at
+        epoch barriers — see :meth:`SessionBucketActor.evict`: a partial
+        still in flight from another replayer would re-open an
         already-emitted window and emit it twice."""
         state = self.state
         done = [
@@ -381,51 +385,11 @@ class TumblingBucketActor(_Reusable):
 # Parallel multi-shard replay with per-shard watermarks — the one ingest
 # path of every event-time mode (session, tumbling, sliding, join, CEP,
 # absence, Kleene). Ingest is NEVER a driver loop: every byte is decoded
-# inside a ShardReplayer actor. One replayer (``max_replayers=1``) gives
-# strict totally-ordered arrival; more replayers are the 100-TB path.
+# inside a ShardReplayer actor, which keeps its own shard watermark; the
+# driver collects the marks at each epoch barrier. One replayer
+# (``max_replayers=1``) gives strict totally-ordered arrival; more replayers
+# are the 100-TB path.
 # ---------------------------------------------------------------------------
-
-@ray.remote(num_cpus=0)
-class WatermarkActor(_Reusable):
-    """Global low-watermark coordinator: each log shard advances its own
-    watermark (max event time seen − allowed lateness); the GLOBAL watermark
-    is the minimum over all live shards (the classic per-partition watermark
-    rule) — monotonic because each shard's is monotonic and finished shards
-    report +inf."""
-
-    def __init__(self, shard_ids: list):
-        self.marks = {s: -(1 << 62) for s in shard_ids}
-
-    def advance(self, shard, mark_us: int) -> int:
-        if mark_us > self.marks[shard]:
-            self.marks[shard] = mark_us
-        return min(self.marks.values())
-
-    def observe_and_advance(self, shard, mark_us: int) -> tuple:
-        """One round-trip for the per-batch protocol: returns (global
-        watermark BEFORE this advance — what lateness is judged against, a
-        record never makes itself late — and the global AFTER)."""
-        prev = min(self.marks.values())
-        if mark_us > self.marks[shard]:
-            self.marks[shard] = mark_us
-        return prev, min(self.marks.values())
-
-    def finish(self, shard) -> int:
-        self.marks[shard] = 1 << 62
-        return min(self.marks.values())
-
-    def global_watermark(self) -> int:
-        return min(self.marks.values())
-
-    # --- checkpoint support (parallel checkpointing runners) ---
-
-    def dump(self) -> dict:
-        return dict(self.marks)
-
-    def load(self, marks: dict) -> None:
-        # json round-trip stringifies int keys — normalize back
-        self.marks = {int(k): int(v) for k, v in marks.items()}
-
 
 def _join_turns_df(rb: pa.RecordBatch) -> pd.DataFrame:
     """Decode one transcript micro-batch into the join-runner row format:
@@ -499,19 +463,24 @@ def _bucket_of(keys, nb: int) -> np.ndarray:
 class ShardReplayer(_Reusable):
     """Owns the sequential replay of ONE log partition (a contiguous group of
     shard files in name order) for any streaming mode. Decodes micro-batches
-    IN THE ACTOR (the driver never touches bytes), judges lateness against
-    the global min-watermark, advances its shard watermark, computes the
-    per-batch vectorized partials (session fragments / window partials / join
-    turns) and routes them to the shared bucket state actors.
+    IN THE ACTOR (the driver never touches bytes), judges lateness, advances
+    its own shard watermark ``mark`` (max event time seen − allowed
+    lateness; ``1 << 62`` once at EOF), computes the per-batch vectorized
+    partials (session fragments / window partials / join turns) and routes
+    them to the shared bucket state actors.
 
-    ``replay(max_batches)`` processes up to *max_batches* micro-batches and
-    returns — the epoch primitive :meth:`_ParallelReplayBase._epochs` uses as
-    a consistent barrier (all replayers quiescent between epochs). The open
-    parquet iterator survives across epochs, so an N-epoch run decodes each
-    byte exactly once."""
+    ``replay(max_batches, marks)`` processes up to *max_batches*
+    micro-batches and returns — the epoch primitive
+    :meth:`_ParallelReplayBase._epochs` uses as a consistent barrier (all
+    replayers quiescent between epochs). *marks* are every shard's marks as
+    of the last barrier, held by the driver; a row is late when its event
+    time is below ``min(own mark before its batch, every other shard's
+    barrier mark)``, a bound the replayer computes without a round-trip.
+    The open parquet iterator survives across epochs, so an N-epoch run
+    decodes each byte exactly once."""
 
     def __init__(self, shard_id: int, files: list, mode: str, params: dict,
-                 lateness_us: int, micro_batch_rows: int, wm_actor,
+                 lateness_us: int, micro_batch_rows: int,
                  bucket_actors: list, start_offset: int = 0,
                  retain_late: bool = False):
         self.shard_id = shard_id
@@ -520,7 +489,6 @@ class ShardReplayer(_Reusable):
         self.params = params
         self.lateness_us = lateness_us
         self.micro_batch_rows = micro_batch_rows
-        self.wm = wm_actor
         self.buckets = bucket_actors
         self.start_offset = start_offset  # resume: skip already-applied batches
         self.offset = 0
@@ -528,6 +496,8 @@ class ShardReplayer(_Reusable):
         self.late_rows = 0
         self.null_ts_rows = 0
         self.eof = False
+        self.mark = _NO_MARK  # this shard's watermark
+        self.others = _NO_MARK  # min of the other shards' barrier marks
         self._iter = None
         self._pending: list = []  # in-flight bucket process() futures
         # side-output support (StreamingSessionRunner): buffer the late rows
@@ -554,23 +524,26 @@ class ShardReplayer(_Reusable):
                 batch_size=self.micro_batch_rows, columns=cols
             )
 
-    def replay(self, max_batches: int | None = None) -> tuple:
-        """Process up to *max_batches* micro-batches (None = to EOF).
-        Returns cumulative (rows, late_rows, null_ts_rows, offset, eof)."""
+    def replay(self, max_batches: int, marks: list) -> tuple:
+        """Process up to *max_batches* micro-batches, judging lateness
+        against *marks* (every shard's mark at the last barrier). Returns
+        cumulative (rows, late_rows, null_ts_rows, offset, eof) and this
+        shard's mark."""
+        self.mark = marks[self.shard_id]
+        self.others = min((m for i, m in enumerate(marks) if i != self.shard_id),
+                          default=_EOF_MARK)
         if self._iter is None:
             self._iter = self._batches()
             while self.offset < self.start_offset:  # resume: decode-skip once
                 if next(self._iter, None) is None:
                     self.eof = True
-                    ray.get(self.wm.finish.remote(self.shard_id))
                     break
                 self.offset += 1
         n = 0
-        while not self.eof and (max_batches is None or n < max_batches):
+        while not self.eof and n < max_batches:
             rb = next(self._iter, None)
             if rb is None:
                 self.eof = True
-                ray.get(self.wm.finish.remote(self.shard_id))
                 break
             self.rows += rb.num_rows
             self._process(rb)
@@ -582,13 +555,14 @@ class ShardReplayer(_Reusable):
         if self._pending:
             ray.get(self._pending)
             self._pending = []
-        return self.rows, self.late_rows, self.null_ts_rows, self.offset, self.eof
+        if self.eof:
+            self.mark = _EOF_MARK  # a finished shard holds no watermark back
+        return (self.rows, self.late_rows, self.null_ts_rows, self.offset, self.eof,
+                self.mark)
 
     def _route(self, frame: pd.DataFrame, key_col: str) -> None:
-        # batches are routed with a −inf watermark: eviction happens ONLY at
-        # epoch barriers (driver-coordinated, all replayers quiescent) —
-        # in-flight eviction races another replayer's older-watermark batch
-        # (see SessionBucketActor.evict)
+        # bucket actors only merge here; eviction happens ONLY at epoch
+        # barriers (all replayers quiescent — see SessionBucketActor.evict)
         nb = len(self.buckets)
         bucket = _bucket_of(frame[key_col], nb)
         # PIPELINED routing: no per-batch ray.get — Ray executes calls from
@@ -597,7 +571,7 @@ class ShardReplayer(_Reusable):
         # handled by commutative state + barrier eviction). Futures drain at
         # replay() return (the epoch barrier) and at the backpressure cap.
         self._pending.extend(
-            self.buckets[b].process.remote(frame[bucket == b], -(1 << 62))
+            self.buckets[b].process.remote(frame[bucket == b])
             for b in range(nb)
             if (bucket == b).any()
         )
@@ -609,20 +583,21 @@ class ShardReplayer(_Reusable):
         """The rows of *df* to route. Event-time streaming needs an event
         time: rows flagged in *nulls* are counted and dropped (the BATCH
         window path emits them under a null window instead — documented
-        divergence, surfaced in metrics). Then one watermark round-trip:
-        lateness is judged against the global watermark BEFORE this batch
-        advances it. max(all rows) equals max(non-late rows) whenever any
-        row is on time (late ⇒ ts < global ≤ every on-time ts); an all-late
-        batch advances by a value below this shard's own monotonic mark — a
-        no-op. Late rows are counted and, under ``retain_late``, kept."""
+        divergence, surfaced in metrics). Then lateness is judged against
+        ``min(own mark BEFORE this batch advances it, the other shards'
+        barrier marks)`` — a record never makes itself late. max(all rows)
+        equals max(non-late rows) whenever any row is on time (late ⇒ ts <
+        bound ≤ every on-time ts); an all-late batch advances by a value
+        below this shard's own monotonic mark — a no-op. Late rows are
+        counted and, under ``retain_late``, kept."""
         if nulls.any():
             self.null_ts_rows += int(nulls.sum())
             df = df[~nulls]
         if not len(df):
             return df
-        prev_g, _g = ray.get(self.wm.observe_and_advance.remote(
-            self.shard_id, int(df.ts_us.max()) - self.lateness_us))
-        late = df.ts_us < prev_g
+        bound = min(self.mark, self.others)
+        self.mark = max(self.mark, int(df.ts_us.max()) - self.lateness_us)
+        late = df.ts_us < bound
         if late.any():
             self.late_rows += int(late.sum())
             if self.retain_late:
@@ -635,8 +610,7 @@ class ShardReplayer(_Reusable):
             df = _join_turns_df(rb)
             if not len(df):
                 return
-            ray.get(self.wm.advance.remote(
-                self.shard_id, int(df.ts_us.max()) - self.lateness_us))
+            self.mark = max(self.mark, int(df.ts_us.max()) - self.lateness_us)
             self._route(df, "conv_id")
             return
 
@@ -712,8 +686,8 @@ def _concat(handles: list) -> "pd.DataFrame | None":
 
 class _ParallelReplayBase:
     """Shared harness of every event-time mode: a bounded replayer-actor
-    pool over name-ordered shard groups, a global min-watermark, bucket
-    state actors, the one epoch loop (:meth:`_epochs`) and the plain
+    pool over name-ordered shard groups, driver-held shard watermarks,
+    bucket state actors, the one epoch loop (:meth:`_epochs`) and the plain
     ``run``. A mode defines its replay params, its bucket actor, its output
     schema ``_schema`` (what the plain run returns on empty input and what
     a checkpointed run commits) and the metrics key ``_count`` of its
@@ -753,56 +727,70 @@ class _ParallelReplayBase:
 
     def _epochs(self, parquet_path: str, micro_batch_rows: int, batches: int,
                 ck: "_Checkpoint | None" = None):
-        """The one epoch loop: shard groups → bucket, watermark and replayer
-        actors → per epoch, every live replayer replays up to *batches*
-        micro-batches (``ray.get`` = the alignment barrier: no replayer is
-        mid-batch) → the bucket actors evict against the global
-        min-watermark, the only safe eviction point (see
-        SessionBucketActor.evict) and what keeps open state bounded. A
-        checkpointed run (*ck*) starts from its snapshot's offsets, marks and
-        open state and ends each epoch with drain → commit → snapshot.
+        """The one epoch loop: shard groups → bucket and replayer actors →
+        per epoch, every live replayer replays up to *batches* micro-batches
+        under the shard marks of the last barrier (``ray.get`` = the
+        alignment barrier: no replayer is mid-batch) → the driver keeps each
+        replayer's new mark and the bucket actors evict against their min G,
+        the only safe eviction point (see SessionBucketActor.evict) and what
+        keeps open state bounded. A checkpointed run (*ck*) starts from its
+        snapshot's offsets, marks and open state and ends each epoch with
+        drain → commit → snapshot.
 
-        → ((replayers, watermark actor, bucket actors), per-replayer replay
-        results, n_files), or None after a simulated crash."""
+        Evicting at G is safe because marks only grow: the replayers'
+        lateness bound is never below G, so every later row they route has
+        ts ≥ G and needs no dropped state — a session with end + gap < G, a
+        window ending ≤ G. (The join drops no late rows; a turn it evicts is
+        past the eviction gap, beyond which it does not pair.) CEP, absence
+        and Kleene drop only rows sealed below G: per-key event time is
+        non-decreasing in order, so a row with ts ≥ G orders after them, and
+        a match ending below G was emitted once and cannot re-form. One
+        exception predates this rule: Kleene's timeout mode also drops a
+        sealed run whose next turn is still missing. The bound depends only
+        on the input and the epoch boundaries, not on replayer timing.
+
+        → ((replayers, bucket actors), per-replayer replay results — the
+        last field is the shard's mark — n_files), or None after a
+        simulated crash."""
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
         n = len(groups)
         actors = [self._make_bucket_actor() for _ in range(self.num_buckets)]
-        wm = _acquire(WatermarkActor, list(range(n)))
-        offsets, eofs = ck.start(n, wm, actors) if ck else ([0] * n, [False] * n)
+        offsets, eofs, marks = (ck.start(n, actors) if ck
+                                else ([0] * n, [False] * n, [_NO_MARK] * n))
         reps = [
             _acquire(ShardReplayer, i, g, self.mode, self._params(),
-                     self.lateness_us, micro_batch_rows, wm, actors,
+                     self.lateness_us, micro_batch_rows, actors,
                      start_offset=offsets[i], retain_late=self.retain_late)
             for i, g in enumerate(groups)
         ]
-        results = [(0, 0, 0, offsets[i], eofs[i]) for i in range(n)]
+        results = [(0, 0, 0, offsets[i], eofs[i], marks[i]) for i in range(n)]
         while not all(eofs):
             live = [i for i in range(n) if not eofs[i]]
-            res = ray.get([reps[i].replay.remote(batches) for i in live])
+            res = ray.get([reps[i].replay.remote(batches, marks) for i in live])
             for i, r in zip(live, res):
                 results[i] = r
                 eofs[i] = r[4]
-            gw = ray.get(wm.global_watermark.remote())
-            ray.get([a.evict.remote(gw) for a in actors])
+                marks[i] = r[5]
+            ray.get([a.evict.remote(min(marks)) for a in actors])
             if ck is not None and not ck.epoch_done(results):
                 # simulated crash: explicit kill ≈ the process dying; a
                 # crashed topology never enters the cache
-                _kill_actors(*reps, wm, *actors)
+                _kill_actors(*reps, *actors)
                 return None
-        return (reps, wm, actors), results, len(files)
+        return (reps, actors), results, len(files)
 
     def run(self, parquet_path: str, micro_batch_rows: int = 65_536):
         """→ (output DataFrame, metrics). Emissions buffer inside the bucket
         actors and are collected once, after every replayer finished."""
-        (reps, wm, actors), results, n_files = self._epochs(
+        (reps, actors), results, n_files = self._epochs(
             parquet_path, micro_batch_rows, self.epoch_batches)
         out = _concat([self._final(a) for a in actors])
         metrics = self._metrics(results, n_files)
         metrics["open_state"] = sum(ray.get([a.state_size.remote() for a in actors]))
         if self.retain_late:
             self.late = [f for f in ray.get([r.late_frames.remote() for r in reps]) if len(f)]
-        _release(*reps, wm, *actors)
+        _release(*reps, *actors)
         out = self._finish(self._schema.empty_table().to_pandas() if out is None else out)
         metrics[self._count] = int(len(out))
         return out, metrics
@@ -822,9 +810,9 @@ class _ParallelReplayBase:
 
 class ParallelStreamingRunner(_ParallelReplayBase):
     """Multi-shard parallel SESSION replay: a replayer pool (each preserving
-    its shard group's arrival order), a shared watermark actor computing the
-    global min-watermark across shards, and shared per-bucket session state
-    actors with watermark eviction.
+    its shard group's arrival order and keeping its shard watermark), the
+    min of the shard watermarks taken by the driver at each epoch barrier,
+    and shared per-bucket session state actors with watermark eviction.
 
     This is the 256-node shape: shards ↔ log partitions, replayers scale with
     shards, state actors scale with key cardinality, and the min-watermark
@@ -937,6 +925,26 @@ class ParallelJoinRunner(_ParallelReplayBase):
         return actor.drain.remote()  # pairs have no open-state flush semantics
 
 
+def _take_rows(st) -> "pd.DataFrame | None":
+    """The carried tail plus the routed rows of a CEP-family bucket state
+    *st*, sorted by key then order (None when there are none); the routed
+    buffer is emptied."""
+    frames = st.parts if st.carry is None or not len(st.carry) else [st.carry, *st.parts]
+    st.parts = []
+    if not frames:
+        return None
+    df = pd.concat(frames, ignore_index=True)
+    return df.sort_values([st.key, st.order], kind="mergesort").reset_index(drop=True)
+
+
+def _tail_rows(st) -> pd.DataFrame:
+    """A CEP-family bucket state's carried tail, typed even when empty."""
+    if st.carry is not None and len(st.carry):
+        return st.carry
+    return pd.DataFrame({st.key: [], st.order: [], "ts_us": np.array([], np.int64),
+                         "__bits": np.array([], np.uint32)})
+
+
 @ray.remote(num_cpus=0)
 class CepBucketActor(_Reusable):
     """Partial-match CEP state for one hash bucket of conversations (the
@@ -944,10 +952,12 @@ class CepBucketActor(_Reusable):
 
     State: the per-key row tail still able to participate in a future match
     — unsealed rows (event time ≥ watermark) plus the trailing k−1 sealed
-    rows of each key. Exactly-once emission: a match is emitted at the
-    barrier eviction where its LAST row's event time first falls below the
-    global watermark (each last row seals exactly once, so
-    ``prev_wm ≤ end_ts < wm`` fires exactly once per match).
+    rows of each key. ``process`` only buffers; scanning happens in
+    :meth:`evict`, at epoch barriers. Exactly-once emission: a match is
+    emitted at the barrier eviction where its LAST row's event time first
+    falls below the barrier watermark (the min of the shard watermarks;
+    each last row seals exactly once, so ``prev_wm ≤ end_ts < wm`` fires
+    exactly once per match).
 
     Correctness relies on per-key event time non-decreasing in the order
     column (stages.cep docstring): sealed rows then form a per-key prefix,
@@ -966,27 +976,20 @@ class CepBucketActor(_Reusable):
         self.order = order
         self.parts: list[pd.DataFrame] = []  # routed, not yet scanned
         self.carry: pd.DataFrame | None = None  # scan tail (see class doc)
-        self.prev_wm = -(1 << 62)
+        self.prev_wm = _NO_MARK
         self.buf: list[pd.DataFrame] = []  # emitted matches, drained at flush
 
-    def process(self, df: pd.DataFrame, watermark_us: int) -> None:
-        # watermark ignored: parallel replay scans/evicts only at epoch
-        # barriers (see SessionBucketActor.evict for the race this avoids)
+    def process(self, df: pd.DataFrame) -> None:
         if len(df):
             self.parts.append(df)
 
     def evict(self, watermark_us: int) -> None:
         from pipeflow_ray.stages.cep import scan_matches
 
-        frames = self.parts
-        if self.carry is not None and len(self.carry):
-            frames = [self.carry, *frames]
-        self.parts = []
-        if not frames:
+        df = _take_rows(self)
+        if df is None:
             self.prev_wm = max(self.prev_wm, watermark_us)
             return
-        df = pd.concat(frames, ignore_index=True)
-        df = df.sort_values([self.key, self.order], kind="mergesort").reset_index(drop=True)
         matches = scan_matches(df, self.k, self.within_us, self.emit,
                                key=self.key, order=self.order, assume_sorted=True)
         newly = matches[(matches.end_ts_us.to_numpy() < watermark_us)
@@ -1010,7 +1013,7 @@ class CepBucketActor(_Reusable):
         self.prev_wm = max(self.prev_wm, watermark_us)
 
     def flush(self) -> pd.DataFrame:
-        self.evict(1 << 62)
+        self.evict(_EOF_MARK)
         self.carry = None
         return self.drain()
 
@@ -1037,12 +1040,7 @@ class CepBucketActor(_Reusable):
         k−1 sealed rows per key, so no match found after resume can end
         before the checkpointed watermark — re-emission is structurally
         impossible even with prev_wm reset to −inf."""
-        if self.carry is not None and len(self.carry):
-            return self.carry
-        base = pd.DataFrame({c: [] for c in (self.key, self.order, "ts_us", "__bits")})
-        base["ts_us"] = base["ts_us"].astype(np.int64)
-        base["__bits"] = base["__bits"].astype(np.uint32)
-        return base
+        return _tail_rows(self)
 
     def load_state(self, df: pd.DataFrame) -> None:
         self.carry = df.reset_index(drop=True)
@@ -1101,8 +1099,9 @@ class JoinBucketActor(_Reusable):
     (it is the response) and/or parks itself for ``turn_idx + 1`` (it may be
     the user side of a response that arrives later — arrival order within the
     lateness horizon is arbitrary). Matched pairs leave the state
-    immediately; unmatched turns are evicted once the watermark passes
-    ``ts + gap`` (no response can still arrive on time).
+    immediately; unmatched turns are evicted at the first epoch barrier
+    whose watermark passes ``ts + gap`` (no response can still arrive on
+    time).
     """
 
     def __init__(self, eviction_gap_s: float = 3600.0):
@@ -1110,7 +1109,7 @@ class JoinBucketActor(_Reusable):
         self.state: dict[tuple, tuple] = {}  # (conv, idx) -> (rc, ts_us, n_chars)
         self.buf: list[pd.DataFrame] = []
 
-    def process(self, turns: pd.DataFrame, watermark_us: int) -> int:
+    def process(self, turns: pd.DataFrame) -> None:
         """*turns*: conv_id, turn_idx, rc (0=user, 1=response, 2=other),
         ts_us, n_chars — any order within the batch.
 
@@ -1121,8 +1120,6 @@ class JoinBucketActor(_Reusable):
         touches the Python dict state (round-1 VERDICT #5; turns are unique
         per (conv_id, turn_idx), so greedy intra-batch matching is equivalent
         to the sequential scan)."""
-        import numpy as np
-
         state = self.state
         turns = turns.sort_values(["conv_id", "turn_idx"], kind="mergesort")
         conv = turns["conv_id"].to_numpy()
@@ -1150,7 +1147,6 @@ class JoinBucketActor(_Reusable):
                         "resp_chars": nc[upos + 1],
                     }
                 ))
-        n_pairs = len(pairs_frames[0]) if pairs_frames else 0
 
         # residual rows: cross-batch matches + parking, through the dict state
         res_pairs: list[tuple] = []
@@ -1175,22 +1171,16 @@ class JoinBucketActor(_Reusable):
             pairs_frames.append(pd.DataFrame(
                 res_pairs, columns=["conv_id", "turn_idx", "user_ts_us", "resp_ts_us",
                                     "user_chars", "resp_chars"]))
-            n_pairs += len(res_pairs)
-        # eviction: a turn whose ts + gap < watermark can no longer pair
-        for k in [k for k, v in state.items() if v[1] + self.gap_us < watermark_us]:
-            del state[k]
         if pairs_frames:
             self.buf.append(
                 pairs_frames[0] if len(pairs_frames) == 1
                 else pd.concat(pairs_frames, ignore_index=True)
             )
-        return n_pairs
 
     def evict(self, watermark_us: int) -> None:
-        """Barrier-time eviction (parallel replay) — see
-        :meth:`SessionBucketActor.evict`: evicting a pending user turn while
-        its response is still in flight from another replayer with an older
-        watermark would drop a pair nondeterministically."""
+        """Barrier-time eviction — see :meth:`SessionBucketActor.evict`:
+        evicting a pending user turn while its response is still in flight
+        from another replayer would drop a pair nondeterministically."""
         for k in [k for k, v in self.state.items() if v[1] + self.gap_us < watermark_us]:
             del self.state[k]
 
@@ -1228,16 +1218,13 @@ class JoinBucketActor(_Reusable):
 # three CEP modes).
 #
 # Barrier recipe (Flink-style aligned epochs, expressed with Ray actors):
-# each epoch every live replayer processes up to ``checkpoint_every``
-# micro-batches of its shard group, then the driver waits for ALL of them
-# (``ray.get`` = the alignment barrier — no replayer is mid-batch), evicts,
-# drains the bucket actors' buffered emissions into one atomically-manifested
-# partition, and snapshots {open state, per-replayer offsets, watermark
-# marks} in a single checkpoint record. Crash recovery re-creates actors
-# from the snapshot and replays exactly the lost span: committed output has
-# no duplicates and no gaps (tested: kill + resume ≡ uninterrupted ≡ batch
-# oracle). The replayers' parquet iterators persist across epochs, so an
-# uninterrupted N-epoch run still decodes each byte once.
+# after each epoch's barrier eviction (:meth:`_ParallelReplayBase._epochs`)
+# the driver drains the bucket actors' buffered emissions into one
+# atomically-manifested partition and snapshots {open state, per-replayer
+# offsets, the driver's shard marks} in a single checkpoint record. Crash
+# recovery re-creates actors from the snapshot and replays exactly the lost
+# span: committed output has no duplicates and no gaps (tested: kill +
+# resume ≡ uninterrupted ≡ batch oracle).
 # ---------------------------------------------------------------------------
 
 
@@ -1245,8 +1232,9 @@ class _Checkpoint:
     """The checkpointed side of one run of :meth:`_ParallelReplayBase._epochs`:
     partitions committed exactly once into *out_dir* under a dense ``seq``,
     and under ``_checkpoints/`` the latest record {epoch, per-replayer
-    offsets and eofs, watermark marks, late rows, commit seq, open-state
-    file, finalized}, each file replaced atomically."""
+    offsets, eofs and watermark marks (the marks the driver holds at the
+    barrier), late rows, commit seq, open-state file, finalized}, each file
+    replaced atomically."""
 
     def __init__(self, runner: "_ParallelReplayBase", parquet_path: str, out_dir: str,
                  stop_after_epochs: "int | None"):
@@ -1262,16 +1250,15 @@ class _Checkpoint:
         self.stop_after = stop_after_epochs  # crash-injection hook (tests)
         self.epoch = self.commit_seq = self.base_late = self.epochs_run = 0
         self.finalized = False
-        self.wm = None
         self.actors: list = []
 
-    def start(self, n: int, wm, actors: list) -> tuple[list, list]:
-        """→ (offsets, eofs) the *n* replayers start from: zeros, or the
-        latest record's, whose watermark marks and open state (each row sent
-        to the bucket its key routes to) are loaded into *wm* / *actors*."""
-        self.wm, self.actors = wm, actors
+    def start(self, n: int, actors: list) -> tuple[list, list, list]:
+        """→ (offsets, eofs, marks) the *n* replayers start from: zeros and
+        no marks, or the latest record's, whose open state (each row sent to
+        the bucket its key routes to) is loaded into *actors*."""
+        self.actors = actors
         if not os.path.exists(self.json):
-            return [0] * n, [False] * n
+            return [0] * n, [False] * n, [_NO_MARK] * n
         with open(self.json) as f:
             ck = json.load(f)
         if ck["replayers"] != n:
@@ -1279,12 +1266,11 @@ class _Checkpoint:
         self.epoch, self.commit_seq = ck["epoch"], ck["commit_seq"]
         self.base_late = ck["late_rows"]  # replayer late counters restart per run
         self.finalized = ck.get("finalized", False)
-        ray.get(wm.load.remote(ck["marks"]))
         state = pd.read_parquet(os.path.join(self.dir, ck["state_file"]))
         if len(state):
             bucket = _bucket_of(state[getattr(self.runner, "key", "conv_id")], len(actors))
             ray.get([a.load_state.remote(state[bucket == b]) for b, a in enumerate(actors)])
-        return ck["offsets"], ck["eofs"]
+        return ck["offsets"], ck["eofs"], ck["marks"]
 
     def epoch_done(self, results: list) -> bool:
         """End of an epoch, after its barrier eviction: drain → commit →
@@ -1336,7 +1322,7 @@ class _Checkpoint:
         os.replace(tmp, os.path.join(self.dir, state_file))
         rec = {
             "epoch": self.epoch, "offsets": [r[3] for r in results],
-            "eofs": [r[4] for r in results], "marks": ray.get(self.wm.dump.remote()),
+            "eofs": [r[4] for r in results], "marks": [r[5] for r in results],
             "late_rows": self.late_rows(results), "commit_seq": self.commit_seq,
             "state_file": state_file, "replayers": len(results), "finalized": final,
         }
@@ -1362,10 +1348,10 @@ class _ParallelCheckpointMixin:
         done = self._epochs(parquet_path, micro_batch_rows, checkpoint_every, ck)
         if done is None:
             return None
-        (reps, wm, actors), results, _n_files = done
+        (reps, actors), results, _n_files = done
         ck.finish(results)
         open_state = sum(ray.get([a.state_size.remote() for a in actors]))
-        _release(*reps, wm, *actors)
+        _release(*reps, *actors)
         return {
             "partitions": ck.commit_seq,
             "late_rows": ck.late_rows(results),
@@ -1396,7 +1382,7 @@ class AbsenceBucketActor(_Reusable):
     :func:`pipeflow_ray.stages.cep.match_absence` — CEP timers).
 
     A trigger row's outcome is decidable exactly when its successor row
-    (same key, order+1) is SEALED (event time below the global watermark):
+    (same key, order+1) is SEALED (event time below the barrier watermark):
     any not-yet-arrived on-time row would have ts ≥ watermark, and once
     ``wm > trigger_ts + within`` such a row could not be an in-time
     response anyway — but the REASON (too_late vs no_next) matches the
@@ -1413,19 +1399,14 @@ class AbsenceBucketActor(_Reusable):
         self.carry: pd.DataFrame | None = None
         self.buf: list[pd.DataFrame] = []
 
-    def process(self, df: pd.DataFrame, watermark_us: int) -> None:
+    def process(self, df: pd.DataFrame) -> None:
         if len(df):
             self.parts.append(df)
 
-    def _decide(self, watermark_us: int, final: bool) -> None:
-        frames = self.parts
-        if self.carry is not None and len(self.carry):
-            frames = [self.carry, *frames]
-        self.parts = []
-        if not frames:
+    def evict(self, watermark_us: int, final: bool = False) -> None:
+        df = _take_rows(self)
+        if df is None:
             return
-        df = pd.concat(frames, ignore_index=True)
-        df = df.sort_values([self.key, self.order], kind="mergesort").reset_index(drop=True)
         n = len(df)
         conv = pd.factorize(df[self.key], sort=False)[0]
         ti = df[self.order].to_numpy(np.int64)
@@ -1466,11 +1447,8 @@ class AbsenceBucketActor(_Reusable):
         keep = (ts >= watermark_us) | undecided_trig
         self.carry = df[keep].reset_index(drop=True)
 
-    def evict(self, watermark_us: int) -> None:
-        self._decide(watermark_us, final=False)
-
     def flush(self) -> pd.DataFrame:
-        self._decide(1 << 62, final=True)
+        self.evict(_EOF_MARK, final=True)
         return self.drain()
 
     def state_size(self) -> int:
@@ -1490,12 +1468,7 @@ class AbsenceBucketActor(_Reusable):
         return empty_absence(self.key)
 
     def dump_state(self) -> pd.DataFrame:
-        if self.carry is not None and len(self.carry):
-            return self.carry
-        base = pd.DataFrame({c: [] for c in (self.key, self.order, "ts_us", "__bits")})
-        base["ts_us"] = base["ts_us"].astype(np.int64)
-        base["__bits"] = base["__bits"].astype(np.uint32)
-        return base
+        return _tail_rows(self)
 
     def load_state(self, df: pd.DataFrame) -> None:
         self.carry = df.reset_index(drop=True)
@@ -1611,7 +1584,7 @@ class KleeneBucketActor(_Reusable):
         self.order = order
         self.parts: list[pd.DataFrame] = []
         self.carry: pd.DataFrame | None = None
-        self.prev_wm = -(1 << 62)
+        self.prev_wm = _NO_MARK
         self.buf: list[pd.DataFrame] = []
         # stitch mode: per-key compacted open-run tail summaries
         # key → (pre_valid, start_ti, start_ts, end_ti, end_ts, blen,
@@ -1621,7 +1594,7 @@ class KleeneBucketActor(_Reusable):
         # tracks the last compacted row)
         self.summaries: dict = {}
 
-    def process(self, df: pd.DataFrame, watermark_us: int) -> None:
+    def process(self, df: pd.DataFrame) -> None:
         if len(df):
             self.parts.append(df)
 
@@ -1634,15 +1607,10 @@ class KleeneBucketActor(_Reusable):
     def _evict_timeout(self, watermark_us: int) -> None:
         from pipeflow_ray.stages.cep import scan_kleene
 
-        frames = self.parts
-        if self.carry is not None and len(self.carry):
-            frames = [self.carry, *frames]
-        self.parts = []
-        if not frames:
+        df = _take_rows(self)
+        if df is None:
             self.prev_wm = max(self.prev_wm, watermark_us)
             return
-        df = pd.concat(frames, ignore_index=True)
-        df = df.sort_values([self.key, self.order], kind="mergesort").reset_index(drop=True)
         matches = scan_kleene(df, self.n_pre, self.n_post, self.within_us,
                               key=self.key, order=self.order, assume_sorted=True,
                               emit=self.emit)
@@ -1686,18 +1654,13 @@ class KleeneBucketActor(_Reusable):
         compaction (class docstring, STITCH mode). Emission is exactly-once
         because a decided run's B rows (and an absorbed summary) leave the
         state in the same evict that emits it — nothing re-derives."""
-        frames = self.parts
-        if self.carry is not None and len(self.carry):
-            frames = [self.carry, *frames]
-        self.parts = []
         npre = self.n_pre
-        if not frames:
+        df = _take_rows(self)
+        if df is None:
             if final and self.summaries:
                 self._emit_summaries(list(self.summaries.items()))
                 self.summaries = {}
             return
-        df = pd.concat(frames, ignore_index=True)
-        df = df.sort_values([self.key, self.order], kind="mergesort").reset_index(drop=True)
         n = len(df)
         conv, uniq = pd.factorize(df[self.key], sort=False)
         ti = df[self.order].to_numpy(np.int64)
@@ -1871,7 +1834,7 @@ class KleeneBucketActor(_Reusable):
             self.buf.append(frame)
 
     def flush(self) -> pd.DataFrame:
-        self.evict(1 << 62, final=True)
+        self.evict(_EOF_MARK, final=True)
         self.carry = None
         self.summaries = {}
         return self.drain()
@@ -1900,12 +1863,7 @@ class KleeneBucketActor(_Reusable):
     _SUMMARY_COLS = ("__s_pre", "__s_sti", "__s_sts", "__s_eti", "__s_ets", "__s_blen")
 
     def dump_state(self) -> pd.DataFrame:
-        if self.carry is not None and len(self.carry):
-            base = self.carry
-        else:
-            base = pd.DataFrame({c: [] for c in (self.key, self.order, "ts_us", "__bits")})
-            base["ts_us"] = base["ts_us"].astype(np.int64)
-            base["__bits"] = base["__bits"].astype(np.uint32)
+        base = _tail_rows(self)
         if not self.stitch:
             return base
         # stitch mode: summaries ride in the same frame as marker rows so

@@ -43,11 +43,3 @@ def canonicalize_columns(table: pa.Table, rename: dict[str, str] | None = None) 
     if new_names != table.column_names:
         table = table.rename_columns(new_names)
     return table
-
-
-def require_columns(table: pa.Table, columns: list[str]) -> None:
-    """Fail fast when a declared column is absent (vs the reference's silent
-    first-row inference, ``CsvWriter.cs:71-72``)."""
-    missing = [c for c in columns if c not in table.column_names]
-    if missing:
-        raise KeyError(f"missing columns {missing}; have {table.column_names}")

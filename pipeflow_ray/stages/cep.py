@@ -163,17 +163,6 @@ def scan_matches(
     return out
 
 
-def _ts_us_array(col: pd.Series) -> np.ndarray:
-    """int64 epoch micros from a timestamp or integer column (null → the
-    −inf sentinel so the caller can drop/route them explicitly)."""
-    if np.issubdtype(col.dtype, np.integer):
-        return col.to_numpy(dtype=np.int64)
-    a = col.to_numpy(dtype="datetime64[us]")
-    out = a.view(np.int64).copy()
-    out[np.isnat(a)] = _NEG_INF
-    return out
-
-
 def _step_mask_table(t: pa.Table, step) -> np.ndarray:
     """Arrow-kernel variant of :func:`_step_mask` — per-byte compiled
     comparisons instead of object-dtype Python equality (~10× on string
@@ -323,13 +312,6 @@ def match_pattern(
 # Negation / absence patterns (CEP timers): trigger rows with NO qualifying
 # successor — the timeout-detection half of a CEP runtime.
 # ---------------------------------------------------------------------------
-
-ABSENCE_COLS = ("start_turn_idx", "ts_us", "reason")
-
-
-def absence_columns(key: str) -> list[str]:
-    return [key, "start_turn_idx", "ts_us", "reason"]
-
 
 def empty_absence(key: str) -> pd.DataFrame:
     out = pd.DataFrame(

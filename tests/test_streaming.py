@@ -65,8 +65,8 @@ def test_streaming_routes_late_rows(transcripts_path):
 
 
 def test_watermark_eviction_bounds_state(transcripts_path):
-    """After the run (pre-flush eviction happened per batch), open state must
-    be far smaller than total conversations — sessions close as the watermark
+    """After the run (eviction ran after every batch), open state must be
+    far smaller than total conversations — sessions close as the watermark
     passes them."""
     runner = StreamingSessionRunner(gap_s=1800.0, lateness_s=600.0, num_buckets=2)
     actors = [SessionBucketActor.remote(1800.0) for _ in range(2)]
@@ -91,7 +91,8 @@ def test_watermark_eviction_bounds_state(transcripts_path):
         wm = max(wm, int(df.ts_us.max()) - 600 * 1_000_000)
         frags = _session_fragments(df, 1800 * 1_000_000)
         b = pd.util.hash_array(frags.conv_id.to_numpy(dtype=object)) % 2
-        ray.get([actors[i].process.remote(frags[b == i], wm) for i in range(2) if (b == i).any()])
+        ray.get([actors[i].process.remote(frags[b == i]) for i in range(2) if (b == i).any()])
+        ray.get([a.evict.remote(wm) for a in actors])
     open_state = sum(ray.get([a.state_size.remote() for a in actors]))
     total_convs = len(pq.read_table(transcripts_path, columns=["conv_id"]).column(0).unique())
     assert open_state < total_convs * 0.5  # most conversations evicted before flush
@@ -228,19 +229,130 @@ def test_parallel_multishard_replay_equals_batch(tmp_path):
     pd.testing.assert_frame_equal(got, ref, check_dtype=False)
 
 
-def test_parallel_replay_watermark_is_min_over_shards():
-    """The global watermark must not pass any shard's local watermark."""
-    import ray as _ray
+def _late_rows_model(groups: list, lateness_us: int, batch_rows: int,
+                     epoch_batches: int) -> int:
+    """Pure-Python model of the replayers' lateness rule over *groups*
+    (one list of shard files per replayer): each epoch, every live shard
+    replays up to *epoch_batches* micro-batches; a row is late when its
+    event time is below min(own mark before its batch, the other shards'
+    marks at the last barrier); a shard at EOF stops holding marks back."""
+    no_mark, eof_mark = -(1 << 62), 1 << 62
+    batches = []
+    for files in groups:
+        ts = []
+        for fp in files:
+            for rb in pq.ParquetFile(fp).iter_batches(batch_size=batch_rows, columns=["ts"]):
+                col = rb.column(0).cast(pa.int64())
+                ts.append([v for v in col.to_pylist() if v is not None])
+        batches.append(ts)
+    n = len(groups)
+    marks, pos, eof, late = [no_mark] * n, [0] * n, [False] * n, 0
+    while not all(eof):
+        new = list(marks)
+        for i in [i for i in range(n) if not eof[i]]:
+            others = min((marks[j] for j in range(n) if j != i), default=eof_mark)
+            for _ in range(epoch_batches):
+                if pos[i] == len(batches[i]):
+                    eof[i] = True
+                    break
+                ts = batches[i][pos[i]]
+                pos[i] += 1
+                if ts:
+                    bound = min(new[i], others)
+                    late += sum(t < bound for t in ts)
+                    new[i] = max(new[i], max(ts) - lateness_us)
+            if eof[i]:
+                new[i] = eof_mark
+        marks = new
+    return late
 
-    from pipeflow_ray.pipelines.streaming import WatermarkActor
 
-    wm = WatermarkActor.remote([0, 1, 2])
-    assert _ray.get(wm.advance.remote(0, 1000)) < 0  # others still at -inf
-    _ray.get(wm.advance.remote(1, 500))
-    g = _ray.get(wm.advance.remote(2, 2000))
-    assert g == 500  # min rule
-    g = _ray.get(wm.finish.remote(1))
-    assert g == 1000  # finished shard no longer holds the watermark back
+def test_multi_replayer_late_rows_are_deterministic(tmp_path):
+    """With 2 replayers and disorder far above the lateness (60 s), which
+    rows are late depends only on the input and the epoch boundaries: five
+    runs give the same late rows and the same sessions, and the late count
+    equals a pure-Python model of the rule. Each replayer's shard group
+    holds half the conversations over the whole time range, in arrival
+    order with every pair of 64-row blocks swapped, so rows are late
+    against the replayer's own mark and the other group's barrier mark
+    decides which of them count."""
+    import os
+
+    from pipeflow_ray.fixtures import gen_transcripts
+    from pipeflow_ray.pipelines.streaming import ParallelStreamingRunner
+
+    t = gen_transcripts(1000)
+    parity = np.array([int(c[-1]) % 2 for c in t["conv_id"].to_pylist()])
+    shard_dir = str(tmp_path / "shards")
+    os.makedirs(shard_dir)
+    files = []
+    for g in (0, 1):
+        sub = t.filter(pa.array(parity == g))
+        blocks = [np.arange(s, min(s + 64, sub.num_rows)) for s in range(0, sub.num_rows, 64)]
+        for i in range(0, len(blocks) - 1, 2):
+            blocks[i], blocks[i + 1] = blocks[i + 1], blocks[i]
+        sub = sub.take(pa.array(np.concatenate(blocks)))
+        half = sub.num_rows // 2
+        for k, part in enumerate((sub.slice(0, half), sub.slice(half))):
+            files.append(os.path.join(shard_dir, f"part-{g}{k}.parquet"))
+            pq.write_table(part, files[-1])
+
+    runs = []
+    for _ in range(5):
+        sessions, metrics = ParallelStreamingRunner(
+            gap_s=1800.0, lateness_s=60.0, num_buckets=4, max_replayers=2,
+            epoch_batches=2,
+        ).run(shard_dir, micro_batch_rows=64)
+        runs.append((metrics["late_rows"],
+                     sessions.sort_values(["conv_id", "session_start"], ignore_index=True)))
+    late = runs[0][0]
+    assert 0 < late < metrics["rows"]
+    for late_i, sessions_i in runs[1:]:
+        assert late_i == late
+        pd.testing.assert_frame_equal(sessions_i, runs[0][1])
+    assert late == _late_rows_model([files[:2], files[2:]], 60 * 1_000_000,
+                                    batch_rows=64, epoch_batches=2)
+
+
+def test_barrier_watermark_is_min_over_live_shards(tmp_path):
+    """The barrier watermark is the min of the live shards' marks, and a
+    shard at EOF stops holding it back: with a one-batch shard group next
+    to a long one, evictions go on after the short group ends."""
+    import json
+    import os
+
+    from pipeflow_ray.pipelines.streaming import ParallelCheckpointingSessionRunner
+    from pipeflow_ray.state.manifest import read_committed
+
+    us, hour = 1_000_000, 3600 * 1_000_000
+
+    def shard(name: str, convs: list, ts_us: list) -> None:
+        pq.write_table(pa.table({
+            "conv_id": convs, "text": ["x"] * len(convs),
+            "ts": pa.array(ts_us, pa.int64()).cast(pa.timestamp("us")),
+        }), str(tmp_path / "shards" / name))
+
+    os.makedirs(tmp_path / "shards")
+    shard("part-0.parquet", [f"s{i}" for i in range(32)], [i * 60 * us for i in range(32)])
+    long_ts = [i * 180 * us for i in range(640)]  # 32 h, one row per 3 min
+    shard("part-1.parquet", [f"c{i % 50}" for i in range(640)], long_ts)
+
+    out = str(tmp_path / "out")
+    lateness = 600 * us
+    runner = ParallelCheckpointingSessionRunner(
+        gap_s=1800.0, lateness_s=lateness / us, num_buckets=2, max_replayers=2)
+    assert runner.run(str(tmp_path / "shards"), out, micro_batch_rows=32,
+                      checkpoint_every=1, stop_after_epochs=10) is None
+    # the snapshot of epoch 9: the short shard hit EOF in epoch 2
+    with open(os.path.join(out, "_checkpoints", "latest.json")) as f:
+        ck = json.load(f)
+    assert ck["epoch"] == 9 and ck["eofs"] == [True, False]
+    assert ck["marks"] == [1 << 62, long_ts[9 * 32 - 1] - lateness]
+    # every committed session was evicted at a barrier, and they reach far
+    # past the short shard's last mark
+    sessions = read_committed(out).to_pandas()
+    assert len(sessions) and sessions.end_us.max() > 31 * 60 * us + 12 * hour
+    assert (sessions.end_us + 1800 * us < ck["marks"][1]).all()
 
 
 def test_checkpoint_resume_midstream_exactly_once(transcripts_path, tmp_path):
@@ -307,6 +419,18 @@ def test_streaming_join_equals_batch_join(transcripts_path):
     assert (got.turn_idx.to_numpy() == ref.turn_idx.to_numpy().astype("int64")).all()
     assert (pd.to_datetime(got.resp_ts_us, unit="us").to_numpy()
             == ref.response_ts.astype("datetime64[ns]").to_numpy()).all()
+
+
+@pytest.mark.parametrize("micro_batch_rows", [64, 1 << 20])
+def test_streaming_join_returns_schema_dtypes(transcripts_path, micro_batch_rows):
+    """Pairs matched inside one micro-batch and pairs matched through the
+    pending-turn state come out in the declared schema's types."""
+    from pipeflow_ray.pipelines.streaming import ParallelJoinRunner
+
+    runner = ParallelJoinRunner(lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1)
+    pairs, metrics = runner.run(transcripts_path, micro_batch_rows=micro_batch_rows)
+    assert metrics["pairs"] > 0
+    assert pa.Schema.from_pandas(pairs, preserve_index=False) == runner._schema
 
 
 def test_streaming_join_evicts_unmatched(transcripts_path):
@@ -808,7 +932,7 @@ def test_warm_rerun_spawns_no_actor_and_equals_cold_run(tmp_path):
     _cold_cache()
     _sessions_then_topk(a, str(tmp_path / "a"), gap_s=1800.0, m=16)
     warm = set(_idle_actors())
-    assert len(warm) == 4 + 1 + 1 + 4  # session buckets, watermark, replayer, top-k
+    assert len(warm) == 4 + 1 + 4  # session buckets, replayer, top-k
     got = _sessions_then_topk(b, str(tmp_path / "b_warm"), gap_s=600.0, m=4)
     assert set(_idle_actors()) == warm  # no actor was spawned
     _cold_cache()
@@ -836,7 +960,7 @@ def test_actor_killed_while_idle_is_replaced(tmp_path):
     got = _sessions_then_topk(a, str(tmp_path / "got"), gap_s=1800.0, m=8)
     _assert_same_run(got, ref)
     idle = set(_idle_actors())
-    assert len(idle) == 10 and not idle & set(victims)
+    assert len(idle) == 9 and not idle & set(victims)
 
 
 def test_crashed_run_leaves_cache_empty_and_resumes_exactly(tmp_path):
@@ -858,7 +982,7 @@ def test_crashed_run_leaves_cache_empty_and_resumes_exactly(tmp_path):
 
     _cold_cache()
     full = runner().run(a, str(tmp_path / "full"), **kw)
-    assert len(_idle_actors()) == 4 + 1 + 1
+    assert len(_idle_actors()) == 4 + 1
     crash_dir = str(tmp_path / "crash")
     assert runner().run(a, crash_dir, stop_after_epochs=2, **kw) is None
     assert _idle_actors() == []
