@@ -10,24 +10,24 @@ vectorized: per-micro-batch session *fragments* are computed with pandas
 
 Partitioning: conversations are hash-bucketed across ``num_buckets`` actors —
 the same key discipline as the batch path (one key, ``conv_id``, everywhere).
-Arrival order: ALL event-time ingest goes through :class:`ShardReplayer`
-actors (one ingest code path — the driver never decodes bytes): each
-replayer owns one contiguous name-ordered shard group and replays it
-sequentially. Each event-time mode (session, tumbling, sliding, join, CEP,
-absence, Kleene) is one ``Parallel*Runner`` on one epoch loop
-(:meth:`_ParallelReplayBase._epochs`); ``max_replayers=1`` gives strict
-totally-ordered arrival, and each ``ParallelCheckpointing*Runner`` is the
-same runner with the checkpointed ``run`` of :class:`_ParallelCheckpointMixin`.
-Epoch barriers are the only coordination point: the driver holds the shard
+Arrival order: ALL ingest goes through :class:`ShardReplayer` actors on one
+epoch loop (:meth:`_ParallelReplayBase._epochs`) — one ingest code path;
+the driver never decodes bytes. Each replayer owns one contiguous
+name-ordered shard group and replays it sequentially. Each event-time mode
+(session, tumbling, sliding, join, CEP, absence, Kleene) is one
+``Parallel*Runner``; ``max_replayers=1`` gives strict totally-ordered
+arrival, and each ``ParallelCheckpointing*Runner`` is the same runner with
+the checkpointed ``run`` of :class:`_ParallelCheckpointMixin`. Epoch
+barriers are the only coordination point: the driver holds the shard
 watermarks the replayers return, evicts against their min and hands them to
 the next epoch's replays, which judge lateness locally.
 :class:`StreamingSessionRunner` adds the late-row side output to the
 single-replayer session run. The aggregate-on-ingest runners (exact
 and KLL quantiles, vocabulary, exact dedup, HLL, top-k, conversation dedup)
-merge commutatively and need no arrival order; they share one replay task
-(:func:`_replay_ingest_shard`), one bucket actor
-(:class:`IngestBucketActor`, holding a family's plain state class) and one
-run helper (:func:`_run_on_ingest`).
+merge commutatively and need no arrival order or watermark; they replay in
+the ``ingest`` mode through one bucket actor (:class:`IngestBucketActor`,
+holding a family's plain state class) and one run helper
+(:func:`_run_on_ingest`).
 
 Semantics contract (tested): with ``allowed_lateness`` ≥ max disorder, the
 finalized sessions equal the batch-mode :func:`~pipeflow_ray.stages.window.
@@ -94,15 +94,15 @@ def _session_fragments(df: pd.DataFrame, gap_us: int) -> pd.DataFrame:
 # scheduling reservation, not a cap: the actors run all the same, they just
 # never queue for a slot. A reservation would be held by idle cached actors
 # too — with 0.5 per replayer, five idle replayers held 2.5 of a 4-CPU
-# node's slots and the next runner's replayers were never placed. The
-# on-ingest runners' replay *task* (``_replay_ingest_shard``) keeps 0.5: it
-# ends with its shard group and is where CPU admission still applies.
+# node's slots and the next runner's replayers were never placed. Every
+# streaming replayer, the on-ingest runners' included, is such an actor.
 # Spawning is the expensive part (≈0.9 s of Python-process start per actor;
 # actors never reuse idle task workers), hence the warm cache below.
 
 _MAX_IDLE_ACTORS = 12  # ≥ 10 = 4 session buckets + 2 replayers, then 4 top-k
-# buckets: the largest pair of topologies run back to back by the stream
-# benchmark; an idle actor process holds ≈190 MB RSS
+# buckets (the top-k run reuses the 2 replayers): the largest pair of
+# topologies run back to back by the stream benchmark; an idle actor
+# process holds ≈190 MB RSS
 _idle: list = []  # (class name, handle) of idle actors, least recently released first
 _idle_node: "str | None" = None  # the Ray node (session) the cached handles belong to
 _idle_lock = threading.Lock()  # runners may be driven from several driver threads
@@ -147,8 +147,8 @@ def _acquire(cls, *args, **kwargs):
     """An actor of *cls* in the state ``cls.remote(*args, **kwargs)`` would
     give: an idle cached one, re-initialized, or a fresh spawn. Returns only
     after the reset is applied: Ray orders calls per caller, so a replayer
-    or replay task handed this actor could otherwise reach it before the
-    driver's ``reinit``. An idle actor that died is dropped."""
+    handed this actor could otherwise reach it before the driver's
+    ``reinit``. An idle actor that died is dropped."""
     name = cls.__ray_metadata__.class_name
     while (actor := _take_idle(name)) is not None:
         try:
@@ -383,10 +383,11 @@ class TumblingBucketActor(_Reusable):
 
 # ---------------------------------------------------------------------------
 # Parallel multi-shard replay with per-shard watermarks — the one ingest
-# path of every event-time mode (session, tumbling, sliding, join, CEP,
-# absence, Kleene). Ingest is NEVER a driver loop: every byte is decoded
-# inside a ShardReplayer actor, which keeps its own shard watermark; the
-# driver collects the marks at each epoch barrier. One replayer
+# path of every streaming runner: the event-time modes (session, tumbling,
+# sliding, join, CEP, absence, Kleene) and the aggregate-on-ingest families.
+# Ingest is NEVER a driver loop: every byte is decoded inside a
+# ShardReplayer actor, which keeps its own shard watermark; the driver
+# collects the marks at each epoch barrier. One replayer
 # (``max_replayers=1``) gives strict totally-ordered arrival; more replayers
 # are the 100-TB path.
 # ---------------------------------------------------------------------------
@@ -439,15 +440,6 @@ def _window_partials(df: pd.DataFrame, width_us: int, slide_us: int) -> pd.DataF
     )
 
 
-_MODE_COLUMNS = {
-    "session": ["conv_id", "text", "ts"],
-    "tumbling": None,  # [key_col, text, ts] — resolved per params
-    "sliding": None,
-    "join": ["conv_id", "turn_idx", "role", "text", "ts"],
-    "cep": None,  # pattern-dependent — resolved per params["columns"]
-}
-
-
 def _bucket_of(keys, nb: int) -> np.ndarray:
     """Hash bucket (0..nb−1) of each key: the one routing rule of every
     streaming runner. A pandas Series hashes as Python objects — what
@@ -466,8 +458,9 @@ class ShardReplayer(_Reusable):
     IN THE ACTOR (the driver never touches bytes), judges lateness, advances
     its own shard watermark ``mark`` (max event time seen − allowed
     lateness; ``1 << 62`` once at EOF), computes the per-batch vectorized
-    partials (session fragments / window partials / join turns) and routes
-    them to the shared bucket state actors.
+    partials (session fragments / window partials / join turns, or in the
+    ``ingest`` mode the family's ``params["partial"]``) and routes them to
+    the shared bucket state actors. It reads ``params["columns"]``.
 
     ``replay(max_batches, marks)`` processes up to *max_batches*
     micro-batches and returns — the epoch primitive
@@ -494,7 +487,7 @@ class ShardReplayer(_Reusable):
         self.offset = 0
         self.rows = 0
         self.late_rows = 0
-        self.null_ts_rows = 0
+        self.null_rows = 0  # dropped for a null event time (or key, in ingest)
         self.eof = False
         self.mark = _NO_MARK  # this shard's watermark
         self.others = _NO_MARK  # min of the other shards' barrier marks
@@ -514,20 +507,15 @@ class ShardReplayer(_Reusable):
         )
 
     def _batches(self):
-        cols = (
-            self.params.get("columns")
-            or _MODE_COLUMNS[self.mode]
-            or [self.params["key_col"], "text", "ts"]
-        )
         for fp in self.files:
             yield from pq.ParquetFile(fp).iter_batches(
-                batch_size=self.micro_batch_rows, columns=cols
+                batch_size=self.micro_batch_rows, columns=self.params["columns"]
             )
 
     def replay(self, max_batches: int, marks: list) -> tuple:
         """Process up to *max_batches* micro-batches, judging lateness
         against *marks* (every shard's mark at the last barrier). Returns
-        cumulative (rows, late_rows, null_ts_rows, offset, eof) and this
+        cumulative (rows, late_rows, null_rows, offset, eof) and this
         shard's mark."""
         self.mark = marks[self.shard_id]
         self.others = min((m for i, m in enumerate(marks) if i != self.shard_id),
@@ -557,24 +545,25 @@ class ShardReplayer(_Reusable):
             self._pending = []
         if self.eof:
             self.mark = _EOF_MARK  # a finished shard holds no watermark back
-        return (self.rows, self.late_rows, self.null_ts_rows, self.offset, self.eof,
+        return (self.rows, self.late_rows, self.null_rows, self.offset, self.eof,
                 self.mark)
 
-    def _route(self, frame: pd.DataFrame, key_col: str) -> None:
+    def _route(self, keys, *parts) -> None:
+        """Send each bucket the rows of *parts* (a frame, or the on-ingest
+        partial's arrays) whose routing key in *keys* hashes to it."""
         # bucket actors only merge here; eviction happens ONLY at epoch
         # barriers (all replayers quiescent — see SessionBucketActor.evict)
         nb = len(self.buckets)
-        bucket = _bucket_of(frame[key_col], nb)
+        bucket = _bucket_of(keys, nb)
         # PIPELINED routing: no per-batch ray.get — Ray executes calls from
         # the same caller on the same actor in submission order, which is all
         # shard-arrival order needs (cross-replayer interleaving is already
         # handled by commutative state + barrier eviction). Futures drain at
         # replay() return (the epoch barrier) and at the backpressure cap.
-        self._pending.extend(
-            self.buckets[b].process.remote(frame[bucket == b])
-            for b in range(nb)
-            if (bucket == b).any()
-        )
+        for b in range(nb):
+            m = bucket == b
+            if m.any():
+                self._pending.append(self.buckets[b].process.remote(*(p[m] for p in parts)))
         if len(self._pending) > 256:
             ray.get(self._pending)
             self._pending = []
@@ -591,7 +580,7 @@ class ShardReplayer(_Reusable):
         below this shard's own monotonic mark — a no-op. Late rows are
         counted and, under ``retain_late``, kept."""
         if nulls.any():
-            self.null_ts_rows += int(nulls.sum())
+            self.null_rows += int(nulls.sum())
             df = df[~nulls]
         if not len(df):
             return df
@@ -611,10 +600,24 @@ class ShardReplayer(_Reusable):
             if not len(df):
                 return
             self.mark = max(self.mark, int(df.ts_us.max()) - self.lateness_us)
-            self._route(df, "conv_id")
+            self._route(df["conv_id"], df)
             return
 
         t = pa.Table.from_batches([rb])
+        if self.mode == "ingest":
+            # commutative states: no event time, no lateness — drop (and
+            # count) null-key rows, reduce with the family's partial
+            import pyarrow.compute as pc
+
+            p = self.params
+            if p["key_col"] is not None and t[p["key_col"]].null_count:
+                self.null_rows += t[p["key_col"]].null_count
+                t = t.filter(pc.is_valid(t[p["key_col"]]))
+            if t.num_rows:
+                keys, *payload = p["partial"](t, *p["partial_args"])
+                self._route(keys, keys, *payload)
+            return
+
         if self.mode == "cep":
             from pipeflow_ray.stages.cep import _NEG_INF, _prep_table
 
@@ -628,7 +631,7 @@ class ShardReplayer(_Reusable):
                              p["order"], p["ts_col"], emit_srcs).to_pandas()
             df = self._on_time(df, df.ts_us == _NEG_INF)  # null ts sentinel
             if len(df):
-                self._route(df, p["key"])
+                self._route(df[p["key"]], df)
             return
 
         key_name = "conv_id" if self.mode == "session" else "key"
@@ -646,10 +649,10 @@ class ShardReplayer(_Reusable):
             return
         if self.mode == "session":
             frags = _session_fragments(df, self.params["gap_us"])
-            self._route(frags, "conv_id")
+            self._route(frags["conv_id"], frags)
         else:
             partials = _window_partials(df, self.params["width_us"], self.params["slide_us"])
-            self._route(partials, "key")
+            self._route(partials["key"], partials)
 
 
 def _shard_files(parquet_path: str) -> list[str]:
@@ -685,13 +688,13 @@ def _concat(handles: list) -> "pd.DataFrame | None":
 
 
 class _ParallelReplayBase:
-    """Shared harness of every event-time mode: a bounded replayer-actor
+    """Shared harness of every streaming mode: a bounded replayer-actor
     pool over name-ordered shard groups, driver-held shard watermarks,
     bucket state actors, the one epoch loop (:meth:`_epochs`) and the plain
-    ``run``. A mode defines its replay params, its bucket actor, its output
-    schema ``_schema`` (what the plain run returns on empty input and what
-    a checkpointed run commits) and the metrics key ``_count`` of its
-    output row count."""
+    ``run`` of the event-time modes. A mode defines its replay params, its
+    bucket actor, its output schema ``_schema`` (what the plain run returns
+    on empty input and what a checkpointed run commits) and the metrics key
+    ``_count`` of its output row count."""
 
     mode: str
     _schema: pa.Schema
@@ -834,7 +837,7 @@ class ParallelStreamingRunner(_ParallelReplayBase):
         self.gap_s = gap_s
 
     def _params(self) -> dict:
-        return {"gap_us": self.gap_us}
+        return {"gap_us": self.gap_us, "columns": ["conv_id", "text", "ts"]}
 
     def _make_bucket_actor(self):
         return _acquire(SessionBucketActor, self.gap_s)
@@ -872,7 +875,7 @@ class ParallelTumblingRunner(_ParallelReplayBase):
 
     def _params(self) -> dict:
         return {"key_col": self.key_col, "width_us": self.width_us,
-                "slide_us": self.slide_us}
+                "slide_us": self.slide_us, "columns": [self.key_col, "text", "ts"]}
 
     def _make_bucket_actor(self):
         return _acquire(TumblingBucketActor, self.width_s)
@@ -916,7 +919,7 @@ class ParallelJoinRunner(_ParallelReplayBase):
         self.eviction_gap_s = eviction_gap_s if eviction_gap_s is not None else lateness_s
 
     def _params(self) -> dict:
-        return {}
+        return {"columns": ["conv_id", "turn_idx", "role", "text", "ts"]}
 
     def _make_bucket_actor(self):
         return _acquire(JoinBucketActor, self.eviction_gap_s)
@@ -2020,67 +2023,30 @@ class ParallelCheckpointingKleeneRunner(_ParallelCheckpointMixin, ParallelKleene
 
 # ---------------------------------------------------------------------------
 # Aggregate-on-ingest: seven runner families (exact and KLL quantiles,
-# vocabulary, exact dedup, HLL, top-k, conversation dedup) on one path. A
-# family is a per-batch partial — a module-level function the replay task
-# applies to each micro-batch, returning ``(keys, *payload arrays)`` — and a
-# plain state class (``process``, ``flush``, optionally ``state_size``) that
+# vocabulary, exact dedup, HLL, top-k, conversation dedup) on the one replay
+# path, in the ``ingest`` mode of :class:`ShardReplayer`. A family is a
+# per-batch partial — a module-level function the replayers apply to each
+# micro-batch, returning ``(keys, *payload arrays)`` — and a plain state
+# class (``process``, ``flush``, optionally ``state_size``) that
 # :class:`IngestBucketActor` holds for one hash bucket of keys. Every state
 # tolerates any shard interleaving: the exact states flush the same result,
 # the sketches keep their bounds.
 # ---------------------------------------------------------------------------
 
 
-@ray.remote(num_cpus=0.5)
-def _replay_ingest_shard(files: list, columns: list, key_col: "str | None",
-                         partial, partial_args: tuple, micro_batch_rows: int,
-                         *buckets) -> tuple[int, int]:
-    """Stream one shard group: decode each micro-batch, drop (and count) the
-    rows whose *key_col* is null, reduce the rest with *partial* to
-    ``(keys, *payload)`` arrays, route each row of them to the bucket
-    :func:`_bucket_of` gives — the rule :meth:`ShardReplayer._route` uses —
-    and send every non-empty slice to its bucket actor. Per-batch futures
-    pipeline (same-caller ordering) up to a 256-future backpressure cap.
-    Module-level task, explicit args (long-session rule). Returns
-    (rows read, null-key rows dropped)."""
-    import pyarrow.compute as pc
-
-    rows = null_keys = 0
-    pending: list = []
-    for f in files:
-        for rb in pq.ParquetFile(str(f)).iter_batches(
-            batch_size=micro_batch_rows, columns=columns
-        ):
-            rows += rb.num_rows
-            t = pa.Table.from_batches([rb])
-            if key_col is not None and t[key_col].null_count:
-                null_keys += t[key_col].null_count
-                t = t.filter(pc.is_valid(t[key_col]))
-            if not t.num_rows:
-                continue
-            keys, *payload = partial(t, *partial_args)
-            b = _bucket_of(keys, len(buckets))
-            for k in range(len(buckets)):
-                m = b == k
-                if m.any():
-                    pending.append(
-                        buckets[k].process.remote(keys[m], *(p[m] for p in payload)))
-            if len(pending) > 256:
-                ray.get(pending)
-                pending = []
-    ray.get(pending)
-    return rows, null_keys
-
-
 @ray.remote(num_cpus=0)
 class IngestBucketActor(_Reusable):
     """One hash bucket of an aggregate-on-ingest runner: holds the family's
-    state object and forwards the replay tasks' and the driver's calls."""
+    state object and forwards the replayers' and the driver's calls."""
 
     def __init__(self, state_cls, *args):
         self.state = state_cls(*args)
 
     def process(self, *arrays) -> None:
         self.state.process(*arrays)
+
+    def evict(self, watermark_us: int) -> None:
+        """A commutative state has nothing to finalize at a barrier."""
 
     def flush(self) -> "pd.DataFrame | pa.Table":
         return self.state.flush()
@@ -2089,30 +2055,46 @@ class IngestBucketActor(_Reusable):
         return self.state.state_size()
 
 
+class _IngestReplay(_ParallelReplayBase):
+    """The ``ingest`` mode on the one epoch loop: *params* name the read
+    ``columns``, the ``key_col`` whose null rows are dropped (None: none)
+    and the family's ``partial`` with its ``partial_args``; each bucket
+    actor holds ``state[0](*state[1:])``. No row is ever late."""
+
+    mode = "ingest"
+
+    def __init__(self, num_buckets: int, max_replayers: int, state: tuple, params: dict):
+        super().__init__(0.0, num_buckets, max_replayers)
+        self.state = state
+        self.params = params
+
+    def _params(self) -> dict:
+        return self.params
+
+    def _make_bucket_actor(self):
+        return _acquire(IngestBucketActor, *self.state)
+
+
 def _run_on_ingest(parquet_path: str, micro_batch_rows: int, *, num_buckets: int,
                    max_replayers: int, state: tuple, columns: list,
                    key_col: "str | None", partial, partial_args: tuple,
                    state_metric: "str | None" = None, fetch: bool = True):
-    """The run every aggregate-on-ingest runner shares: name-ordered shard
-    groups, one bucket actor per bucket holding ``state[0](*state[1:])``,
-    one replay task per group, flush, release. Returns (flushed, metrics):
+    """The run every aggregate-on-ingest runner shares: the epoch loop of
+    :class:`_IngestReplay`, flush, release. Returns (flushed, metrics):
     the bucket flushes concatenated in bucket order (a typed empty frame on
     empty input) — or, with ``fetch=False``, the computed per-bucket flush
     refs — and the metrics every runner reports, plus the summed
     ``state_size`` under *state_metric* when given."""
-    files = _shard_files(parquet_path)
-    groups = _shard_groups(files, max_replayers)
-    actors = [_acquire(IngestBucketActor, *state) for _ in range(num_buckets)]
-    counts = ray.get([
-        _replay_ingest_shard.remote(g, columns, key_col, partial, partial_args,
-                                    micro_batch_rows, *actors)
-        for g in groups
-    ])
+    run = _IngestReplay(num_buckets, max_replayers, state,
+                        {"columns": columns, "key_col": key_col, "partial": partial,
+                         "partial_args": partial_args})
+    (reps, actors), results, n_files = run._epochs(parquet_path, micro_batch_rows,
+                                                   run.epoch_batches)
     refs = [a.flush.remote() for a in actors]
-    metrics = {"rows": sum(r for r, _ in counts),
-               "null_key_rows": sum(n for _, n in counts),
-               "shards": len(files), "replayers": len(groups),
-               "replayer_rows": [r for r, _ in counts]}
+    metrics = {"rows": sum(r[0] for r in results),
+               "null_key_rows": sum(r[2] for r in results),
+               "shards": n_files, "replayers": len(results),
+               "replayer_rows": [r[0] for r in results]}
     if state_metric is not None:
         metrics[state_metric] = sum(ray.get([a.state_size.remote() for a in actors]))
     if fetch:
@@ -2122,7 +2104,7 @@ def _run_on_ingest(parquet_path: str, micro_batch_rows: int, *, num_buckets: int
     else:
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
         flushed = refs
-    _release(*actors)
+    _release(*reps, *actors)
     return flushed, metrics
 
 
@@ -2415,7 +2397,7 @@ class _FingerprintState:
 
 class StreamingDedupRunner:
     """Single-pass streaming exact dedup over a sharded corpus log: parallel
-    shard replayers compute normalized-content fingerprints in the tasks and
+    shard replayers compute normalized-content fingerprints and
     route ONLY (fingerprint, id) int pairs to bucketed states; the
     end-of-stream flush yields the min doc id per fingerprint — exactly the
     batch ``exact_dedup`` result (min-id is commutative, so shard interleaving

@@ -828,6 +828,38 @@ def test_on_ingest_empty_input_keeps_output_types(tmp_path, family):
     assert metrics["rows"] == 0 and metrics["null_key_rows"] == 0
 
 
+@pytest.mark.parametrize("family", ["quantile", "hll"])
+def test_on_ingest_across_epoch_barriers_equals_one_epoch(tmp_path, family):
+    """With 2 replayers each replaying more than 64 micro-batches (two or
+    more epoch barriers), the output equals the same run in one micro-batch
+    per shard: exact quantiles frame-equal, HLL registers bit-identical so
+    estimates and counts equal."""
+    import pyarrow.compute as pc
+
+    from pipeflow_ray.fixtures import gen_transcripts
+
+    def _n_chars(tbl):  # nested: pickled by value into the replayers
+        return tbl.append_column(
+            "value", pc.utf8_length(pc.fill_null(tbl["text"], "")).cast(pa.int64()))
+
+    path = _write_two_shards(gen_transcripts(2000), tmp_path / "shards")
+    if family == "quantile":
+        runner = streaming.StreamingQuantileRunner(
+            "conv_id", value_fn=_n_chars, columns=["conv_id", "text"],
+            num_buckets=3, max_replayers=2)
+    else:
+        runner = streaming.StreamingHLLRunner("conv_id", "text", p=8, num_buckets=3,
+                                              max_replayers=2)
+    got, metrics = runner.run(path, micro_batch_rows=8)
+    ref, ref_metrics = runner.run(path, micro_batch_rows=1 << 20)
+    assert metrics["replayers"] == 2
+    assert all(r > 64 * 8 for r in metrics["replayer_rows"])  # > 64 batches each
+    assert metrics == ref_metrics
+    key = runner.key_col
+    pd.testing.assert_frame_equal(got.sort_values(key, ignore_index=True),
+                                  ref.sort_values(key, ignore_index=True))
+
+
 _EVENT_TIME_RUNNERS = {
     "session": lambda: streaming.ParallelStreamingRunner(num_buckets=2),
     "tumbling": lambda: streaming.ParallelTumblingRunner(num_buckets=2),
@@ -941,6 +973,27 @@ def test_warm_rerun_spawns_no_actor_and_equals_cold_run(tmp_path):
     assert got[0]["partitions"] >= 3 and len(got[2]) == 4 * 4  # evictions ran
 
 
+def test_on_ingest_run_leaves_a_warm_replayer(tmp_path):
+    """An on-ingest run replays through a ShardReplayer and hands it back
+    with its bucket actors; the next event-time run takes that replayer
+    instead of spawning one."""
+    from pipeflow_ray.pipelines.streaming import (
+        ParallelCheckpointingSessionRunner,
+        StreamingTopKRunner,
+    )
+
+    a = _turns_file(tmp_path, "a", 1000, seed=5)
+    _cold_cache()
+    StreamingTopKRunner("conv_id", m=8, num_buckets=4, max_replayers=1).run(
+        a, micro_batch_rows=128)
+    assert sorted(n for n, _ in streaming._idle) == ["IngestBucketActor"] * 4 + ["ShardReplayer"]
+    replayer = [h for n, h in streaming._idle if n == "ShardReplayer"]
+    ParallelCheckpointingSessionRunner(
+        gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1,
+    ).run(a, str(tmp_path / "sessions"), micro_batch_rows=128, checkpoint_every=2)
+    assert [h for n, h in streaming._idle if n == "ShardReplayer"] == replayer
+
+
 def _kill_and_wait(actor) -> None:
     ray.kill(actor, no_restart=True)
     while True:  # a call made before the kill lands could still be served
@@ -1001,6 +1054,39 @@ def test_streaming_import_does_not_load_ray_data():
             "assert 'ray.data' not in sys.modules, 'ray.data was imported'")
     subprocess.run([sys.executable, "-c", code], check=True,
                    cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def test_perfbench_name_patterns_match_streaming_tasks():
+    """perfbench attributes streaming work by task name: the replay method
+    and every bucket actor's ``process`` must match its layer patterns, and
+    no streaming work may run as a ``@ray.remote`` function the patterns do
+    not name."""
+    import ast
+    import os
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    saved_path, saved_mods = list(sys.path), set(sys.modules)
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        from layers import _ACTOR_METHOD, _REPLAY
+    finally:
+        sys.path[:] = saved_path
+        for name in {"layers", "oracle"} - saved_mods:  # perfbench's, not ours
+            sys.modules.pop(name, None)
+
+    def remote(node) -> bool:
+        return any("ray.remote" in ast.unparse(d) for d in node.decorator_list)
+
+    with open(streaming.__file__) as f:
+        tree = ast.parse(f.read())
+    assert _REPLAY.match("task::ShardReplayer.replay")
+    assert not [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and remote(n)]
+    actors = [n.name for n in tree.body if isinstance(n, ast.ClassDef) and remote(n)
+              and any(isinstance(f, ast.FunctionDef) and f.name == "process" for f in n.body)]
+    assert {"SessionBucketActor", "IngestBucketActor"} <= set(actors)
+    for name in actors:
+        assert _ACTOR_METHOD.match(f"task::{name}.process"), name
 
 
 def _topk_min_scan(batches, m: int) -> pd.DataFrame:
