@@ -526,6 +526,41 @@ def test_parallel_kleene_suffix_free_equals_batch(tmp_path, steps, seal):
     pd.testing.assert_frame_equal(got, ref.astype(got.dtypes.to_dict()))
 
 
+@pytest.mark.parametrize("epoch_batches", [1, 1000])
+def test_fixed_suffix_kleene_keeps_a_run_whose_next_turn_is_pending(tmp_path, epoch_batches):
+    """A sealed B row whose next turn has not arrived yet does not break
+    its run. Key k: user at 0 h, assistant at 1 h and 9 h, tool at
+    9 h + 1 s; a filler key every 10 min drives the watermark past the
+    1 h row long before the 9 h rows arrive. Barriers after every batch
+    and a single barrier both emit the batch match."""
+    import pyarrow as pa
+    import pyarrow.parquet as _pq
+    import ray.data
+
+    from pipeflow_ray.pipelines.streaming import ParallelKleeneRunner
+    from pipeflow_ray.stages.cep import match_kleene
+
+    us, hour = 1_000_000, 3600 * 1_000_000
+    rows = [("k", 0, "user", 0), ("k", 1, "assistant", hour),
+            ("k", 2, "assistant", 9 * hour), ("k", 3, "tool", 9 * hour + us)]
+    rows += [("f", i, "user", i * 600 * us) for i in range(61)]
+    rows.sort(key=lambda r: r[3])
+    conv, idx, role, ts = (list(c) for c in zip(*rows))
+    t = pa.table({"conv_id": conv, "turn_idx": pa.array(idx, pa.int64()), "role": role,
+                  "ts": pa.array(ts, pa.int64()).cast(pa.timestamp("us"))})
+    path = str(tmp_path / "turns.parquet")
+    _pq.write_table(t, path)
+    steps = [{"role": "user"}, ("+", {"role": "assistant"}), {"role": "tool"}]
+
+    got, metrics = ParallelKleeneRunner(
+        steps, lateness_s=600.0, num_buckets=2, max_replayers=1,
+        epoch_batches=epoch_batches,
+    ).run(path, micro_batch_rows=4)
+    ref = match_kleene(ray.data.from_arrow(t), steps).to_pandas()
+    assert metrics["late_rows"] == 0 and len(ref) == 1
+    pd.testing.assert_frame_equal(got.reset_index(drop=True), ref.astype(got.dtypes.to_dict()))
+
+
 def test_suffix_free_streaming_kleene_requires_seal_gap():
     from pipeflow_ray.pipelines.streaming import ParallelKleeneRunner
 

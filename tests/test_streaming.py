@@ -64,6 +64,19 @@ def test_streaming_routes_late_rows(transcripts_path):
     assert metrics["late_rows"] + sessions.n_turns.sum() == metrics["rows"]
 
 
+def test_late_side_output_is_typed_at_any_row_count(transcripts_path):
+    """The late side output has the same columns and dtypes whether or not
+    any row is late."""
+    _s, none, m0 = StreamingSessionRunner(gap_s=1800.0, lateness_s=3 * 3600.0,
+                                          num_buckets=2).run(transcripts_path, 128)
+    _s, some, m1 = StreamingSessionRunner(gap_s=1800.0, lateness_s=60.0,
+                                          num_buckets=2).run(transcripts_path, 128)
+    assert m0["late_rows"] == len(none) == 0 and m1["late_rows"] == len(some) > 0
+    assert list(none.columns) == ["conv_id", "ts_us", "n_chars"]
+    pd.testing.assert_series_equal(none.dtypes, some.dtypes)
+    assert (none.dtypes[["ts_us", "n_chars"]] == np.int64).all()
+
+
 def test_watermark_eviction_bounds_state(transcripts_path):
     """After the run (eviction ran after every batch), open state must be
     far smaller than total conversations — sessions close as the watermark
@@ -75,7 +88,7 @@ def test_watermark_eviction_bounds_state(transcripts_path):
 
     pf = pq.ParquetFile(transcripts_path)
     wm = -(1 << 62)
-    from pipeflow_ray.pipelines.streaming import _session_fragments
+    from pipeflow_ray.pipelines.streaming import _merge_sessions
 
     for rb in pf.iter_batches(batch_size=256, columns=["conv_id", "text", "ts"]):
         df = pd.DataFrame(
@@ -89,7 +102,9 @@ def test_watermark_eviction_bounds_state(transcripts_path):
         if not len(df):
             continue
         wm = max(wm, int(df.ts_us.max()) - 600 * 1_000_000)
-        frags = _session_fragments(df, 1800 * 1_000_000)
+        frags = _merge_sessions(df.assign(start_us=df.ts_us, end_us=df.ts_us, n_turns=1)
+                                [["conv_id", "start_us", "end_us", "n_turns", "n_chars"]],
+                                1800 * 1_000_000)
         b = pd.util.hash_array(frags.conv_id.to_numpy(dtype=object)) % 2
         ray.get([actors[i].process.remote(frags[b == i]) for i in range(2) if (b == i).any()])
         ray.get([a.evict.remote(wm) for a in actors])
@@ -1128,3 +1143,224 @@ def test_topk_heap_eviction_equals_min_scan():
         for keys, counts in batches:
             state.process(keys, counts)
         pd.testing.assert_frame_equal(state.flush(), _topk_min_scan(batches, m))
+
+
+# --- Bucket-state models without Ray: each columnar actor against the
+# per-row Python state it replaced (copied here as the reference). ---
+
+class _SessionDictRef:
+    """conv → sorted disjoint open fragments, one bisect insert each."""
+
+    def __init__(self, gap_us: int):
+        self.gap, self.state, self.buf = gap_us, {}, []
+
+    def process(self, frags: pd.DataFrame) -> None:
+        import bisect
+
+        gap = self.gap
+        for conv, s, e, n, c in frags.itertuples(index=False, name=None):
+            lst = self.state.get(conv)
+            if lst is None:
+                self.state[conv] = [[s, e, n, c]]
+                continue
+            i = bisect.bisect_left([f[0] for f in lst], s)
+            lst.insert(i, [s, e, n, c])
+            if i > 0 and lst[i][0] - lst[i - 1][1] <= gap:
+                a, b = lst[i - 1], lst[i]
+                a[0] = min(a[0], b[0]); a[1] = max(a[1], b[1]); a[2] += b[2]; a[3] += b[3]
+                lst.pop(i)
+                i -= 1
+            while i + 1 < len(lst) and lst[i + 1][0] - lst[i][1] <= gap:
+                a, b = lst[i], lst[i + 1]
+                a[0] = min(a[0], b[0]); a[1] = max(a[1], b[1]); a[2] += b[2]; a[3] += b[3]
+                lst.pop(i + 1)
+
+    def evict(self, wm: int) -> None:
+        for conv in list(self.state):
+            keep = []
+            for f in self.state[conv]:
+                if f[1] + self.gap < wm:
+                    self.buf.append((conv, *f))
+                else:
+                    keep.append(f)
+            if keep:
+                self.state[conv] = keep
+            else:
+                del self.state[conv]
+
+    def flush(self) -> list:
+        self.evict(1 << 62)
+        return self.drain()
+
+    def drain(self) -> list:
+        out, self.buf = self.buf, []
+        return out
+
+    def state_size(self) -> int:
+        return len(self.state)
+
+
+class _TumblingDictRef:
+    """(key, window_start) → [n, sum]."""
+
+    def __init__(self, width_us: int):
+        self.width, self.state, self.buf = width_us, {}, []
+
+    def process(self, partials: pd.DataFrame) -> None:
+        for key, ws, n, v in partials.itertuples(index=False, name=None):
+            cur = self.state.setdefault((key, ws), [0, 0])
+            cur[0] += n
+            cur[1] += v
+
+    def evict(self, wm: int) -> None:
+        for kw in [kw for kw in self.state if kw[1] + self.width <= wm]:
+            self.buf.append((*kw, *self.state.pop(kw)))
+
+    flush = _SessionDictRef.flush
+    drain = _SessionDictRef.drain
+
+    def state_size(self) -> int:
+        return len(self.state)
+
+
+class _JoinDictRef:
+    """Park-or-match: (conv, turn_idx) → (rc, ts, n_chars) of unmatched
+    turns, matched turn by turn as they arrive."""
+
+    def __init__(self, gap_us: int):
+        self.gap, self.state, self.buf = gap_us, {}, []
+
+    def process(self, turns: pd.DataFrame) -> None:
+        state = self.state
+        turns = turns.sort_values(["conv_id", "turn_idx"], kind="mergesort")
+        for c, x, r, t, v in turns.itertuples(index=False, name=None):
+            x, r, t, v = int(x), int(r), int(t), int(v)
+            if r == 1:  # a response: match a pending user turn at x − 1
+                prev = state.pop((c, x - 1), None)
+                if prev is not None and prev[0] == 0:
+                    self.buf.append((c, x - 1, prev[1], t, prev[2], v))
+                    continue
+                if prev is not None:
+                    state[(c, x - 1)] = prev
+            if r == 0:  # a user turn: its response may be parked at x + 1
+                nxt = state.pop((c, x + 1), None)
+                if nxt is not None and nxt[0] == 1:
+                    self.buf.append((c, x, t, nxt[1], v, nxt[2]))
+                    continue
+                if nxt is not None:
+                    state[(c, x + 1)] = nxt
+            state[(c, x)] = (r, t, v)
+
+    def evict(self, wm: int) -> None:
+        for k in [k for k, v in self.state.items() if v[1] + self.gap < wm]:
+            del self.state[k]
+
+    flush = _SessionDictRef.flush
+    drain = _SessionDictRef.drain
+
+    def state_size(self) -> int:
+        return len(self.state)
+
+
+def _session_rows(rng, n: int) -> pd.DataFrame:
+    """Session fragments: intervals of up to 2.5 gaps, often overlapping."""
+    start = rng.integers(0, 60, size=n) * 600
+    return pd.DataFrame({
+        "conv_id": np.array([f"c{int(k)}" for k in rng.integers(0, 12, size=n)], dtype=object),
+        "start_us": start, "end_us": start + rng.integers(0, 6, size=n) * 600,
+        "n_turns": rng.integers(1, 4, size=n), "n_chars": rng.integers(0, 50, size=n),
+    })
+
+
+def _window_rows(rng, n: int) -> pd.DataFrame:
+    return pd.DataFrame({
+        "key": np.array([f"k{int(k)}" for k in rng.integers(0, 8, size=n)], dtype=object),
+        "window_start_us": rng.integers(0, 20, size=n) * 1800,
+        "n": rng.integers(1, 4, size=n), "value_sum": rng.integers(0, 50, size=n),
+    })
+
+
+def _join_rows(rng, n: int) -> pd.DataFrame:
+    """Unique (conv_id, turn_idx) turns, event time rising with turn_idx."""
+    conv = rng.integers(0, 10, size=n)
+    idx = np.zeros(n, np.int64)
+    for c in np.unique(conv):
+        idx[conv == c] = np.arange((conv == c).sum())
+    return pd.DataFrame({
+        "conv_id": np.array([f"c{int(c)}" for c in conv], dtype=object), "turn_idx": idx,
+        "rc": rng.integers(0, 3, size=n).astype(np.int8),
+        "ts_us": idx * 600, "n_chars": rng.integers(0, 50, size=n),
+    })
+
+
+# Times, gaps, widths and watermarks share a 600 µs grid, so every boundary
+# (end + gap = wm, window end = wm, start − end = gap) is hit.
+_MODELS = {  # actor, its constructor arg, the reference, a frame of input rows, time column
+    "session": ("SessionBucketActor", 1.2e-3, _SessionDictRef, _session_rows, "start_us"),
+    "tumbling": ("TumblingBucketActor", 1.8e-3, _TumblingDictRef, _window_rows, "window_start_us"),
+    "join": ("JoinBucketActor", 1.2e-3, _JoinDictRef, _join_rows, "ts_us"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mode", sorted(_MODELS))
+def test_columnar_bucket_state_equals_dict_reference(mode, seed):
+    """Each columnar bucket state, driven without Ray, emits what the
+    per-row dict state it replaced emits: rows arrive shuffled across
+    batches, barriers fall at random under a rising watermark, and the
+    emitted frame and the open-state size agree after every barrier and at
+    the flush. At one barrier a checkpointed state also goes through
+    ``dump_state``/``load_state``."""
+    name, arg_s, ref_cls, rows_of, time_col = _MODELS[mode]
+    cls = getattr(streaming, name).__ray_metadata__.modified_class
+    rng = np.random.default_rng(seed)
+    rows = rows_of(rng, 400)
+    # mostly time-ordered arrival with local disorder
+    rows = rows.iloc[np.argsort(rows[time_col].to_numpy() + rng.integers(0, 7200, len(rows)),
+                                kind="stable")].reset_index(drop=True)
+    got, ref = cls(arg_s), ref_cls(int(arg_s * 1_000_000))
+
+    def same(a: pd.DataFrame, b: list) -> None:
+        b = pd.DataFrame(b, columns=a.columns)
+        key = list(a.columns)
+        assert len(a) == len(b)
+        pd.testing.assert_frame_equal(
+            a.sort_values(key, ignore_index=True).astype(object),
+            b.sort_values(key, ignore_index=True).astype(object))
+
+    cuts = np.sort(rng.choice(np.arange(1, len(rows)), size=40, replace=False))
+    wm = seen = -(1 << 62)
+    reload_at = int(rng.integers(3, 30))
+    for k, (lo, hi) in enumerate(zip(np.r_[0, cuts], np.r_[cuts, len(rows)])):
+        batch = rows.iloc[lo:hi]
+        got.process(batch.reset_index(drop=True))
+        ref.process(batch)
+        seen = max(seen, int(batch[time_col].max()))
+        if rng.random() < 0.4:
+            wm = max(wm, seen - int(rng.integers(0, 12)) * 600)
+            got.evict(wm)
+            ref.evict(wm)
+            same(got.drain(), ref.drain())
+            assert got.state_size() == ref.state_size()
+            if k >= reload_at and hasattr(got, "dump_state"):  # tumbling has no checkpoint
+                state, got = got.dump_state(), cls(arg_s)
+                got.load_state(state)
+                reload_at = 1 << 30
+    same(got.flush(), ref.flush())
+    assert got.state_size() == ref.state_size() == 0
+
+
+def test_bucket_actor_process_only_appends():
+    """The ``process`` of every bucket actor has no loop: it only buffers
+    the routed frame, and the work happens at the barrier (``evict``)."""
+    import ast
+
+    with open(streaming.__file__) as f:
+        tree = ast.parse(f.read())
+    actors = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name.endswith("BucketActor")]
+    assert len(actors) == 7
+    for cls in actors:
+        (process,) = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "process"]
+        loops = [type(n).__name__ for n in ast.walk(process)
+                 if isinstance(n, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
+        assert not loops, (cls.name, loops)
