@@ -27,9 +27,13 @@ the next epoch's replays, which judge lateness locally.
 single-replayer session run. The aggregate-on-ingest runners (exact
 and KLL quantiles, vocabulary, exact dedup, HLL, top-k, conversation dedup)
 merge commutatively and need no arrival order or watermark; they replay in
-the ``ingest`` mode through one bucket actor (:class:`IngestBucketActor`,
-holding a family's plain state class) and one run helper
-(:func:`_run_on_ingest`).
+the ``ingest`` mode through one run helper (:func:`_run_on_ingest`).
+
+Bucket state: every runner's bucket actor is one class,
+:class:`StateBucketActor`, holding a plain state object — one of the six
+event-time states (session, tumbling/sliding, join, CEP, absence, Kleene;
+base :class:`_EventTimeState`) or one of the seven on-ingest states (base
+:class:`_IngestState`) — and forwarding every call to it.
 
 Semantics contract (tested): with ``allowed_lateness`` ≥ max disorder, the
 finalized sessions equal the batch-mode :func:`~pipeflow_ray.stages.window.
@@ -37,11 +41,14 @@ session_aggregate` on the same rows; late rows are never silently dropped —
 they land in the ``late`` side output (reference has no late-data concept;
 ``drop_late=False`` default per SURVEY §2.10).
 
-Actor lifecycle: every streaming actor class reserves no CPU slot and derives
-from :class:`_Reusable`. Runners get their actors from :func:`_acquire` (an
-idle actor of the class, reset in place with ``reinit``, or a fresh spawn)
-and hand them back with :func:`_release` on normal completion, so a second
-run in the same Ray session starts no actor process. The crash-injection
+Actor lifecycle: there are two actor classes, :class:`ShardReplayer` and
+:class:`StateBucketActor`; both reserve no CPU slot and derive from
+:class:`_Reusable`. Runners get their actors from :func:`_acquire` (an idle
+actor of the class, reset in place with ``reinit`` — a bucket actor may come
+back holding another mode's state class — or a fresh spawn) and hand them
+back with :func:`_release` on normal completion, so a later run of any mode
+in the same Ray session starts no actor process while the cache holds as
+many actors as its topology needs. The crash-injection
 path kills its actors; an exception drops the handles and Ray reclaims the
 unreferenced actors, so a half-applied topology is never reused.
 """
@@ -119,23 +126,6 @@ def _merge_sessions(df: pd.DataFrame, gap_us: int) -> pd.DataFrame:
     })
 
 
-def _pending(st) -> pd.DataFrame:
-    """The carried state plus the routed parts of bucket state *st* as one
-    frame; the routed buffer is emptied. An empty carry is left out, so its
-    placeholder dtypes never shape the result's."""
-    frames = [st.carry, *st.parts] if len(st.carry) else st.parts
-    st.parts = []
-    return pd.concat(frames, ignore_index=True)
-
-
-def _drain(st, empty: pd.DataFrame) -> pd.DataFrame:
-    """Hand over bucket state *st*'s buffered emissions (*empty* when there
-    are none) WITHOUT touching its open state — the emission half of a
-    checkpoint barrier."""
-    parts, st.buf = st.buf, []
-    return pd.concat(parts, ignore_index=True) if parts else empty
-
-
 # Streaming actors reserve NO CPU slot (num_cpus=0). num_cpus is a
 # scheduling reservation, not a cap: the actors run all the same, they just
 # never queue for a slot. A reservation would be held by idle cached actors
@@ -145,10 +135,10 @@ def _drain(st, empty: pd.DataFrame) -> pd.DataFrame:
 # Spawning is the expensive part (≈0.9 s of Python-process start per actor;
 # actors never reuse idle task workers), hence the warm cache below.
 
-_MAX_IDLE_ACTORS = 12  # ≥ 10 = 4 session buckets + 2 replayers, then 4 top-k
-# buckets (the top-k run reuses the 2 replayers): the largest pair of
-# topologies run back to back by the stream benchmark; an idle actor
-# process holds ≈190 MB RSS
+_MAX_IDLE_ACTORS = 12  # ≥ 6 = 4 buckets + 2 replayers, the stream benchmark's
+# largest topology (its top-k run reuses all six after the session run);
+# 12 also keeps a runner's default 8 buckets plus replayers warm. An idle
+# actor process holds ≈190 MB RSS
 _idle: list = []  # (class name, handle) of idle actors, least recently released first
 _idle_node: "str | None" = None  # the Ray node (session) the cached handles belong to
 _idle_lock = threading.Lock()  # runners may be driven from several driver threads
@@ -234,62 +224,138 @@ def _kill_actors(*actors) -> None:
 
 
 @ray.remote(num_cpus=0)
-class SessionBucketActor(_Reusable):
-    """Owns the open-session state for one hash bucket of conversations.
+class StateBucketActor(_Reusable):
+    """The bucket actor of every streaming runner: one hash bucket of keys,
+    holding the plain state object ``state_cls(*args)`` and forwarding the
+    replayers' and the driver's calls to it. Being one class, an idle bucket
+    actor left by one mode's run serves the next run of any mode."""
 
-    State: ``carry``, the open sessions as one typed frame of disjoint
-    intervals (``_SESSIONS``; a conversation may hold several, each
-    pair more than the gap apart), plus ``parts``, the fragments routed
-    since the last barrier. ``process`` only appends; :meth:`evict`, run at
-    epoch barriers, merges both with :func:`_merge_sessions` and finalizes a
-    session once the watermark passes ``session_end + gap`` — bounding state
-    to open sessions only. Fragments may arrive in any order (parallel
-    shard replay delivers a conversation's later shard before its earlier
-    one), so sessionizing is interval merging, not append-only extension.
+    def __init__(self, state_cls, *args):
+        self.state = state_cls(*args)
+
+    def process(self, *parts) -> None:
+        self.state.process(*parts)
+
+    def evict(self, watermark_us: int) -> None:
+        self.state.evict(watermark_us)
+
+    def flush(self) -> "pd.DataFrame | pa.Table":
+        return self.state.flush()
+
+    def drain(self) -> pd.DataFrame:
+        return self.state.drain()
+
+    def state_size(self) -> int:
+        return self.state.state_size()
+
+    def dump_state(self) -> pd.DataFrame:
+        return self.state.dump_state()
+
+    def load_state(self, df: pd.DataFrame) -> None:
+        self.state.load_state(df)
+
+
+class _EventTimeState:
+    """Base of the six event-time bucket states. ``carry`` is the open state
+    as of the last barrier (one frame), ``parts`` the frames routed since
+    then, ``buf`` the emissions not yet handed over. ``process`` only
+    appends; a state's ``evict(watermark_us, final)``, run at epoch
+    barriers, is one columnar pass over ``carry`` plus ``parts`` that moves
+    what the watermark finalizes into ``buf`` (``final``: end of stream).
+    Emissions leave only at :meth:`drain`/:meth:`flush`, never returned to
+    (and possibly dropped by) whichever replayer's batch completed them.
+
+    Eviction happens only at barriers: while other replayers' batches are
+    still in flight, it could emit a session before a mergeable fragment
+    arrives, emit a window that a later partial re-opens, or drop a user
+    turn whose response is on its way — nondeterministically. At a barrier
+    every replayer is quiescent and the min of the shard watermarks bounds
+    every future on-time event time (see :meth:`_ParallelReplayBase._epochs`).
+    """
+
+    def __init__(self, carry: pd.DataFrame, empty: pd.DataFrame):
+        self.carry = carry
+        self.parts: list[pd.DataFrame] = []
+        self.buf: list[pd.DataFrame] = []
+        self.empty = empty  # what drain returns when nothing was emitted
+
+    def process(self, part: pd.DataFrame) -> None:
+        self.parts.append(part)
+
+    def evict(self, watermark_us: int, final: bool = False) -> None:
+        raise NotImplementedError
+
+    def flush(self) -> pd.DataFrame:
+        self.evict(_EOF_MARK, final=True)
+        return self.drain()
+
+    def drain(self) -> pd.DataFrame:
+        """Hand over the buffered emissions WITHOUT touching the open state
+        — the emission half of a checkpoint barrier."""
+        parts, self.buf = self.buf, []
+        return pd.concat(parts, ignore_index=True) if parts else self.empty.copy()
+
+    def state_size(self) -> int:
+        """Open rows: the carried state plus the routed frames."""
+        return len(self.carry) + sum(len(p) for p in self.parts)
+
+    def _pending(self) -> "pd.DataFrame | None":
+        """The carry plus the routed parts as one frame (None when there are
+        no rows); the routed buffer is emptied. An empty carry is left out,
+        so its placeholder dtypes never shape the result's."""
+        frames = [self.carry, *self.parts] if len(self.carry) else self.parts
+        self.parts = []
+        return pd.concat(frames, ignore_index=True) if frames else None
+
+    def _take_rows(self) -> "pd.DataFrame | None":
+        """:meth:`_pending` sorted by key then order: a CEP-family scan's
+        input."""
+        df = self._pending()
+        if df is None:
+            return None
+        return df.sort_values([self.key, self.order], kind="mergesort").reset_index(drop=True)
+
+    def _tail_rows(self) -> pd.DataFrame:
+        """A CEP-family state's carried tail, typed even when empty."""
+        if len(self.carry):
+            return self.carry
+        return pd.DataFrame({self.key: [], self.order: [], "ts_us": np.array([], np.int64),
+                             "__bits": np.array([], np.uint32)})
+
+
+class _SessionState(_EventTimeState):
+    """Open-session state for one hash bucket of conversations.
+
+    ``carry`` holds the open sessions as one typed frame of disjoint
+    intervals (``_SESSIONS``; a conversation may hold several, each pair
+    more than the gap apart); ``parts`` the session fragments routed since
+    the last barrier. :meth:`evict` merges both with :func:`_merge_sessions`
+    and finalizes a session once the watermark passes ``session_end + gap``
+    — bounding state to open sessions only. Fragments may arrive in any
+    order (parallel shard replay delivers a conversation's later shard
+    before its earlier one), so sessionizing is interval merging, not
+    append-only extension.
     """
 
     def __init__(self, gap_s: float):
+        empty = _SESSIONS.empty_table().to_pandas()
+        super().__init__(empty, empty)
         self.gap_us = int(gap_s * US)
-        self.carry = _SESSIONS.empty_table().to_pandas()
-        self.parts: list[pd.DataFrame] = []  # routed, not yet merged
-        # finalized sessions buffer in the actor and leave at drain/flush,
-        # never returned to (and possibly dropped by) whichever replayer
-        # triggered the eviction
-        self.buf: list[pd.DataFrame] = []
 
-    def process(self, frags: pd.DataFrame) -> None:
-        self.parts.append(frags)
-
-    def evict(self, watermark_us: int) -> None:
+    def evict(self, watermark_us: int, final: bool = False) -> None:
         """Finalize every session the watermark has passed by more than the
         gap (no non-late row can reach it: every future row has ts ≥
-        watermark > end + gap) into the emission buffer.
-
-        Called only at epoch barriers: evicting while other replayers'
-        batches are still in flight could emit a fragment before a mergeable
-        neighbor arrives, splitting one session into two
-        nondeterministically. At a barrier every replayer is quiescent and
-        the min of the shard watermarks bounds every future on-time event
-        time (see :meth:`_ParallelReplayBase._epochs`)."""
+        watermark > end + gap) into the emission buffer."""
         if self.parts:
-            self.carry = _merge_sessions(_pending(self), self.gap_us)
+            self.carry = _merge_sessions(self._pending(), self.gap_us)
         done = self.carry["end_us"].to_numpy(np.int64) + self.gap_us < watermark_us
         if done.any():
             self.buf.append(self.carry[done])
             self.carry = self.carry[~done].reset_index(drop=True)
 
-    def flush(self) -> pd.DataFrame:
-        self.evict(_EOF_MARK)
-        return self.drain()
-
     def state_size(self) -> int:
         """Open conversations (as of the last barrier)."""
         return int(self.carry["conv_id"].nunique(dropna=False))
-
-    # --- checkpoint support ---
-
-    def drain(self) -> pd.DataFrame:
-        return _drain(self, self.carry[:0])
 
     def dump_state(self) -> pd.DataFrame:
         """Snapshot the open sessions (checkpoint state half)."""
@@ -298,7 +364,6 @@ class SessionBucketActor(_Reusable):
     def load_state(self, df: pd.DataFrame) -> None:
         """Restore a snapshot (resume). Replaces current state."""
         self.carry = df[_SESSIONS.names].astype(dict.fromkeys(_SESSIONS.names[1:], np.int64))
-        self.parts = []
 
 
 class StreamingSessionRunner:
@@ -334,50 +399,28 @@ def _late_rows(parts: list) -> pd.DataFrame:
     return pd.concat(parts, ignore_index=True).astype({"ts_us": np.int64, "n_chars": np.int64})
 
 
-@ray.remote(num_cpus=0)
-class TumblingBucketActor(_Reusable):
+class _TumblingState(_EventTimeState):
     """Open tumbling-window state for one hash bucket of keys: ``carry``,
     one ``(key, window_start_us, n, value_sum)`` row per open window, plus
-    the window partials routed since the last barrier. At each epoch
-    barrier :meth:`evict` sums both per window and finalizes (emits and
-    drops) the windows the watermark has passed ``window_end`` — classic
-    event-time tumbling aggregation with monotonic watermark
+    the window partials routed since the last barrier (sliding windows
+    arrive already tiled). :meth:`evict` sums both per window and finalizes
+    (emits and drops) the windows the watermark has passed ``window_end`` —
+    classic event-time tumbling aggregation with monotonic watermark
     finalization."""
 
     def __init__(self, width_s: float):
+        empty = _WINDOWS.empty_table().to_pandas()
+        super().__init__(empty, empty)
         self.width_us = int(width_s * US)
-        self.carry = _WINDOWS.empty_table().to_pandas()
-        self.parts: list[pd.DataFrame] = []
-        # finalized windows buffer inside the actor and leave at flush —
-        # same discipline as SessionBucketActor
-        self.buf: list[pd.DataFrame] = []
 
-    def process(self, partials: pd.DataFrame) -> None:
-        self.parts.append(partials)
-
-    def evict(self, watermark_us: int) -> None:
-        """Finalize every window the watermark has passed. Called only at
-        epoch barriers — see :meth:`SessionBucketActor.evict`: a partial
-        still in flight from another replayer would re-open an
-        already-emitted window and emit it twice."""
+    def evict(self, watermark_us: int, final: bool = False) -> None:
         if self.parts:
-            self.carry = (_pending(self).groupby(["key", "window_start_us"], sort=False)
+            self.carry = (self._pending().groupby(["key", "window_start_us"], sort=False)
                           .sum().reset_index())
         done = self.carry["window_start_us"].to_numpy(np.int64) + self.width_us <= watermark_us
         if done.any():
             self.buf.append(self.carry[done])
             self.carry = self.carry[~done].reset_index(drop=True)
-
-    def flush(self) -> pd.DataFrame:
-        self.evict(_EOF_MARK)
-        return self.drain()
-
-    def state_size(self) -> int:
-        """Open windows (as of the last barrier)."""
-        return len(self.carry)
-
-    def drain(self) -> pd.DataFrame:
-        return _drain(self, self.carry[:0])
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +591,7 @@ class ShardReplayer(_Reusable):
         """Send each bucket the rows of *parts* (a frame, or the on-ingest
         partial's arrays) whose routing key in *keys* hashes to it."""
         # bucket actors only merge here; eviction happens ONLY at epoch
-        # barriers (all replayers quiescent — see SessionBucketActor.evict)
+        # barriers (all replayers quiescent — see _EventTimeState)
         nb = len(self.buckets)
         bucket = _bucket_of(keys, nb)
         # PIPELINED routing: no per-batch ray.get — Ray executes calls from
@@ -688,8 +731,9 @@ class _ParallelReplayBase:
     pool over name-ordered shard groups, driver-held shard watermarks,
     bucket state actors, the one epoch loop (:meth:`_epochs`) and the plain
     ``run`` of the event-time modes. A mode defines its replay params, its
-    bucket actor, its output schema ``_schema`` (what the plain run returns
-    on empty input and what a checkpointed run commits) and the metrics key
+    bucket state (``(state class, *args)`` for :class:`StateBucketActor`),
+    its output schema ``_schema`` (what the plain run returns on empty
+    input and what a checkpointed run commits) and the metrics key
     ``_count`` of its output row count."""
 
     mode: str
@@ -698,6 +742,9 @@ class _ParallelReplayBase:
 
     def __init__(self, lateness_s: float, num_buckets: int, max_replayers: int = 16,
                  epoch_batches: int = 64):
+        if num_buckets < 1 or epoch_batches < 1:
+            raise ValueError(f"num_buckets and epoch_batches must be at least 1 "
+                             f"(got {num_buckets}, {epoch_batches})")
         self.lateness_us = int(lateness_s * US)
         self.num_buckets = num_buckets
         self.max_replayers = max_replayers
@@ -713,8 +760,11 @@ class _ParallelReplayBase:
     def _params(self) -> dict:
         raise NotImplementedError
 
-    def _make_bucket_actor(self):
+    def _bucket_state(self) -> tuple:
         raise NotImplementedError
+
+    def _make_bucket_actor(self):
+        return _acquire(StateBucketActor, *self._bucket_state())
 
     def _finish(self, out: pd.DataFrame) -> pd.DataFrame:
         """The plain run's output from the bucket actors' emissions."""
@@ -727,7 +777,7 @@ class _ParallelReplayBase:
         under the shard marks of the last barrier (``ray.get`` = the
         alignment barrier: no replayer is mid-batch) → the driver keeps each
         replayer's new mark and the bucket actors evict against their min G,
-        the only safe eviction point (see SessionBucketActor.evict) and what
+        the only safe eviction point (see :class:`_EventTimeState`) and what
         keeps open state bounded. A checkpointed run (*ck*) starts from its
         snapshot's offsets, marks and open state and ends each epoch with
         drain → commit → snapshot.
@@ -746,6 +796,11 @@ class _ParallelReplayBase:
         → ((replayers, bucket actors), per-replayer replay results — the
         last field is the shard's mark — n_files), or None after a
         simulated crash."""
+        # replay(0) would never reach EOF, and a zero-row batch reads nothing
+        if micro_batch_rows < 1 or batches < 1:
+            raise ValueError(
+                f"micro_batch_rows and the batches per epoch (epoch_batches, "
+                f"checkpoint_every) must be at least 1 (got {micro_batch_rows}, {batches})")
         files = _shard_files(parquet_path)
         groups = _shard_groups(files, self.max_replayers)
         n = len(groups)
@@ -830,8 +885,8 @@ class ParallelStreamingRunner(_ParallelReplayBase):
     def _params(self) -> dict:
         return {"gap_us": self.gap_us, "columns": ["conv_id", "text", "ts"]}
 
-    def _make_bucket_actor(self):
-        return _acquire(SessionBucketActor, self.gap_s)
+    def _bucket_state(self) -> tuple:
+        return _SessionState, self.gap_s
 
     def _finish(self, out: pd.DataFrame) -> pd.DataFrame:
         out["session_start"] = pd.to_datetime(out.start_us, unit="us")
@@ -860,6 +915,8 @@ class ParallelTumblingRunner(_ParallelReplayBase):
                  max_replayers: int = 16, epoch_batches: int = 64):
         super().__init__(lateness_s, num_buckets, max_replayers, epoch_batches)
         self.width_us = int(width_s * US)
+        if self.width_us < 1:
+            raise ValueError(f"window width must be positive (got width_s={width_s})")
         self.width_s = width_s
         self.slide_us = self.width_us
         self.key_col = key_col
@@ -868,8 +925,8 @@ class ParallelTumblingRunner(_ParallelReplayBase):
         return {"key_col": self.key_col, "width_us": self.width_us,
                 "slide_us": self.slide_us, "columns": [self.key_col, "text", "ts"]}
 
-    def _make_bucket_actor(self):
-        return _acquire(TumblingBucketActor, self.width_s)
+    def _bucket_state(self) -> tuple:
+        return _TumblingState, self.width_s
 
 
 class ParallelSlidingRunner(ParallelTumblingRunner):
@@ -882,6 +939,8 @@ class ParallelSlidingRunner(ParallelTumblingRunner):
                  lateness_s: float = 3600.0, num_buckets: int = 8,
                  key_col: str = "conv_id", max_replayers: int = 16,
                  epoch_batches: int = 64):
+        if int(slide_s * US) < 1:
+            raise ValueError(f"window slide must be positive (got slide_s={slide_s})")
         if int(width_s * US) % int(slide_s * US) != 0:
             raise ValueError("sliding window width must be a multiple of slide")
         super().__init__(width_s=width_s, lateness_s=lateness_s,
@@ -892,7 +951,7 @@ class ParallelSlidingRunner(ParallelTumblingRunner):
 
 class ParallelJoinRunner(_ParallelReplayBase):
     """Parallel-replay incremental turn-response join. The parked turns in
-    :class:`JoinBucketActor` are paired at each barrier, order-free within
+    :class:`_JoinState` are paired at each barrier, order-free within
     the eviction horizon, so cross-shard pairs (user turn in one shard,
     response in another) resolve at the first barrier after the second side
     arrives; eviction follows the global min-watermark. Equals the batch ``turn_response_join`` when the
@@ -911,43 +970,21 @@ class ParallelJoinRunner(_ParallelReplayBase):
     def _params(self) -> dict:
         return {"columns": ["conv_id", "turn_idx", "role", "text", "ts"]}
 
-    def _make_bucket_actor(self):
-        return _acquire(JoinBucketActor, self.eviction_gap_s)
+    def _bucket_state(self) -> tuple:
+        return _JoinState, self.eviction_gap_s
 
 
-def _take_rows(st) -> "pd.DataFrame | None":
-    """The carried tail plus the routed rows of a CEP-family bucket state
-    *st*, sorted by key then order (None when there are none); the routed
-    buffer is emptied."""
-    frames = st.parts if st.carry is None or not len(st.carry) else [st.carry, *st.parts]
-    st.parts = []
-    if not frames:
-        return None
-    df = pd.concat(frames, ignore_index=True)
-    return df.sort_values([st.key, st.order], kind="mergesort").reset_index(drop=True)
-
-
-def _tail_rows(st) -> pd.DataFrame:
-    """A CEP-family bucket state's carried tail, typed even when empty."""
-    if st.carry is not None and len(st.carry):
-        return st.carry
-    return pd.DataFrame({st.key: [], st.order: [], "ts_us": np.array([], np.int64),
-                         "__bits": np.array([], np.uint32)})
-
-
-@ray.remote(num_cpus=0)
-class CepBucketActor(_Reusable):
+class _CepState(_EventTimeState):
     """Partial-match CEP state for one hash bucket of conversations (the
     streaming half of :mod:`pipeflow_ray.stages.cep`).
 
     State: the per-key row tail still able to participate in a future match
     — unsealed rows (event time ≥ watermark) plus the trailing k−1 sealed
-    rows of each key. ``process`` only buffers; scanning happens in
-    :meth:`evict`, at epoch barriers. Exactly-once emission: a match is
-    emitted at the barrier eviction where its LAST row's event time first
-    falls below the barrier watermark (the min of the shard watermarks;
-    each last row seals exactly once, so ``prev_wm ≤ end_ts < wm`` fires
-    exactly once per match).
+    rows of each key. Scanning happens in :meth:`evict`, at epoch barriers.
+    Exactly-once emission: a match is emitted at the barrier eviction where
+    its LAST row's event time first falls below the barrier watermark (the
+    min of the shard watermarks; each last row seals exactly once, so
+    ``prev_wm ≤ end_ts < wm`` fires exactly once per match).
 
     Correctness relies on per-key event time non-decreasing in the order
     column (stages.cep docstring): sealed rows then form a per-key prefix,
@@ -959,24 +996,20 @@ class CepBucketActor(_Reusable):
 
     def __init__(self, k: int, within_us: int | None, emit=(),
                  key: str = "conv_id", order: str = "turn_idx"):
+        from pipeflow_ray.stages.cep import empty_matches
+
+        super().__init__(pd.DataFrame(), empty_matches(key, tuple(emit)))
         self.k = k
         self.within_us = within_us
         self.emit = tuple(emit)
         self.key = key
         self.order = order
-        self.parts: list[pd.DataFrame] = []  # routed, not yet scanned
-        self.carry: pd.DataFrame | None = None  # scan tail (see class doc)
         self.prev_wm = _NO_MARK
-        self.buf: list[pd.DataFrame] = []  # emitted matches, drained at flush
 
-    def process(self, df: pd.DataFrame) -> None:
-        if len(df):
-            self.parts.append(df)
-
-    def evict(self, watermark_us: int) -> None:
+    def evict(self, watermark_us: int, final: bool = False) -> None:
         from pipeflow_ray.stages.cep import scan_matches
 
-        df = _take_rows(self)
+        df = self._take_rows()
         if df is None:
             self.prev_wm = max(self.prev_wm, watermark_us)
             return
@@ -986,6 +1019,9 @@ class CepBucketActor(_Reusable):
                         & (matches.end_ts_us.to_numpy() >= self.prev_wm)]
         if len(newly):
             self.buf.append(newly)
+        if final:  # end of stream: no match can form any more
+            self.carry = pd.DataFrame()
+            return
         # retention: unsealed rows + the trailing k−1 sealed rows per key
         n = len(df)
         ts = df["ts_us"].to_numpy(np.int64)
@@ -1002,21 +1038,7 @@ class CepBucketActor(_Reusable):
         self.carry = df[keep].reset_index(drop=True)
         self.prev_wm = max(self.prev_wm, watermark_us)
 
-    def flush(self) -> pd.DataFrame:
-        self.evict(_EOF_MARK)
-        self.carry = None
-        return self.drain()
-
-    def state_size(self) -> int:
-        n = 0 if self.carry is None else len(self.carry)
-        return n + sum(len(p) for p in self.parts)
-
     # --- checkpoint support ---
-
-    def drain(self) -> pd.DataFrame:
-        from pipeflow_ray.stages.cep import empty_matches
-
-        return _drain(self, empty_matches(self.key, self.emit))
 
     def dump_state(self) -> pd.DataFrame:
         """Snapshot the partial-match row tail (checkpoint state half).
@@ -1024,7 +1046,7 @@ class CepBucketActor(_Reusable):
         k−1 sealed rows per key, so no match found after resume can end
         before the checkpointed watermark — re-emission is structurally
         impossible even with prev_wm reset to −inf."""
-        return _tail_rows(self)
+        return self._tail_rows()
 
     def load_state(self, df: pd.DataFrame) -> None:
         self.carry = df.reset_index(drop=True)
@@ -1064,9 +1086,8 @@ class ParallelCepRunner(_ParallelReplayBase):
                 "emit": self.emit, "key": self.key, "order": self.order,
                 "ts_col": self.ts_col, "columns": self.columns}
 
-    def _make_bucket_actor(self):
-        return _acquire(CepBucketActor, len(self.steps), self.within_us,
-                        self.emit, key=self.key, order=self.order)
+    def _bucket_state(self) -> tuple:
+        return _CepState, len(self.steps), self.within_us, self.emit, self.key, self.order
 
 
 # ---------------------------------------------------------------------------
@@ -1074,41 +1095,31 @@ class ParallelCepRunner(_ParallelReplayBase):
 # matching assistant/tool turns, state held in actor pools)
 # ---------------------------------------------------------------------------
 
-@ray.remote(num_cpus=0)
-class JoinBucketActor(_Reusable):
+class _JoinState(_EventTimeState):
     """Incremental conv_id-keyed hash join state for one bucket.
 
-    State: ``carry``, the still-unmatched turns ``(conv_id, turn_idx, rc,
-    ts_us, n_chars)``, plus the turns routed since the last barrier. At each
-    epoch barrier :meth:`evict` pairs both with
+    ``carry`` holds the still-unmatched turns ``(conv_id, turn_idx, rc
+    (0 user, 1 response, 2 other), ts_us, n_chars)``; ``parts`` the turns
+    routed since the last barrier, in any order. At each epoch barrier
+    :meth:`evict` pairs both with
     :func:`~pipeflow_ray.stages.join.pair_next_turns` (a user turn with the
     response at ``turn_idx + 1``; arrival order within the lateness horizon
     is arbitrary). Matched pairs leave the state; an unmatched turn stays
     until the barrier watermark passes ``ts + gap`` (no response can still
-    arrive on time). Turns are unique per (conv_id, turn_idx), so pairing
-    once per barrier gives the pairs a turn-by-turn park-or-match would.
+    arrive on time), and has no output. Turns are unique per (conv_id,
+    turn_idx), so pairing once per barrier gives the pairs a turn-by-turn
+    park-or-match would.
     """
 
     def __init__(self, eviction_gap_s: float = 3600.0):
+        super().__init__(_PARKED.empty_table().to_pandas(), _PAIRS.empty_table().to_pandas())
         self.gap_us = int(eviction_gap_s * US)
-        self.carry = _PARKED.empty_table().to_pandas()
-        self.parts: list[pd.DataFrame] = []
-        self.buf: list[pd.DataFrame] = []
 
-    def process(self, turns: pd.DataFrame) -> None:
-        """*turns*: conv_id, turn_idx, rc (0=user, 1=response, 2=other),
-        ts_us, n_chars — any order within the batch."""
-        self.parts.append(turns)
-
-    def evict(self, watermark_us: int) -> None:
-        """Pair, then evict at the barrier — see
-        :meth:`SessionBucketActor.evict`: evicting a pending user turn while
-        its response is still in flight from another replayer would drop a
-        pair nondeterministically."""
+    def evict(self, watermark_us: int, final: bool = False) -> None:
         from pipeflow_ray.stages.join import pair_next_turns
 
         if self.parts:
-            df = _pending(self)
+            df = self._pending()
             user, resp = pair_next_turns(
                 pa.Table.from_pandas(df[["conv_id", "turn_idx", "rc"]], preserve_index=False),
                 "conv_id", "turn_idx", "rc", 0, pa.array([1], pa.int8()))
@@ -1126,18 +1137,6 @@ class JoinBucketActor(_Reusable):
         live = self.carry["ts_us"].to_numpy(np.int64) + self.gap_us >= watermark_us
         self.carry = self.carry[live].reset_index(drop=True)
 
-    def flush(self) -> pd.DataFrame:
-        """The last pairs; unmatched turns have no output."""
-        self.evict(_EOF_MARK)
-        return self.drain()
-
-    def drain(self) -> pd.DataFrame:
-        return _drain(self, _PAIRS.empty_table().to_pandas())
-
-    def state_size(self) -> int:
-        """Parked turns (as of the last barrier)."""
-        return len(self.carry)
-
     # --- checkpoint support ---
 
     def dump_state(self) -> pd.DataFrame:
@@ -1148,7 +1147,6 @@ class JoinBucketActor(_Reusable):
         """Restore a snapshot (resume). Replaces current state."""
         self.carry = df[_PARKED.names].astype(
             {"turn_idx": np.int64, "rc": np.int8, "ts_us": np.int64, "n_chars": np.int64})
-        self.parts = []
 
 
 # ---------------------------------------------------------------------------
@@ -1315,8 +1313,7 @@ class ParallelCheckpointingJoinRunner(_ParallelCheckpointMixin, ParallelJoinRunn
     _kind = "join-checkpoint"
 
 
-@ray.remote(num_cpus=0)
-class AbsenceBucketActor(_Reusable):
+class _AbsenceState(_EventTimeState):
     """Absence/timeout CEP state for one hash bucket (the streaming form of
     :func:`pipeflow_ray.stages.cep.match_absence` — CEP timers).
 
@@ -1331,19 +1328,15 @@ class AbsenceBucketActor(_Reusable):
     emission exactly-once by construction."""
 
     def __init__(self, within_us: int, key: str = "conv_id", order: str = "turn_idx"):
+        from pipeflow_ray.stages.cep import empty_absence
+
+        super().__init__(pd.DataFrame(), empty_absence(key))
         self.within_us = within_us
         self.key = key
         self.order = order
-        self.parts: list[pd.DataFrame] = []
-        self.carry: pd.DataFrame | None = None
-        self.buf: list[pd.DataFrame] = []
-
-    def process(self, df: pd.DataFrame) -> None:
-        if len(df):
-            self.parts.append(df)
 
     def evict(self, watermark_us: int, final: bool = False) -> None:
-        df = _take_rows(self)
+        df = self._take_rows()
         if df is None:
             return
         n = len(df)
@@ -1378,7 +1371,7 @@ class AbsenceBucketActor(_Reusable):
                     {self.key: df[self.key].to_numpy()[rem],
                      "start_turn_idx": ti[rem], "ts_us": ts[rem],
                      "reason": np.full(len(rem), "no_next", dtype=object)}))
-            self.carry = None
+            self.carry = pd.DataFrame()
             return
         # retention: unsealed rows + undecided triggers (a sealed successor
         # of an undecided trigger cannot exist — it would have decided it)
@@ -1386,24 +1379,11 @@ class AbsenceBucketActor(_Reusable):
         keep = (ts >= watermark_us) | undecided_trig
         self.carry = df[keep].reset_index(drop=True)
 
-    def flush(self) -> pd.DataFrame:
-        self.evict(_EOF_MARK, final=True)
-        return self.drain()
-
-    def state_size(self) -> int:
-        n = 0 if self.carry is None else len(self.carry)
-        return n + sum(len(p) for p in self.parts)
-
     # --- checkpoint support (decided triggers leave the state, so resume
     # cannot re-emit; no watermark counter to persist) ---
 
-    def drain(self) -> pd.DataFrame:
-        from pipeflow_ray.stages.cep import empty_absence
-
-        return _drain(self, empty_absence(self.key))
-
     def dump_state(self) -> pd.DataFrame:
-        return _tail_rows(self)
+        return self._tail_rows()
 
     def load_state(self, df: pd.DataFrame) -> None:
         self.carry = df.reset_index(drop=True)
@@ -1440,13 +1420,11 @@ class ParallelAbsenceRunner(_ParallelReplayBase):
                 "key": self.key, "order": self.order, "ts_col": self.ts_col,
                 "columns": self.columns}
 
-    def _make_bucket_actor(self):
-        return _acquire(AbsenceBucketActor, self.within_us, key=self.key,
-                        order=self.order)
+    def _bucket_state(self) -> tuple:
+        return _AbsenceState, self.within_us, self.key, self.order
 
 
-@ray.remote(num_cpus=0)
-class KleeneBucketActor(_Reusable):
+class _KleeneState(_EventTimeState):
     """Streaming Kleene-plus state for one hash bucket (the streaming form
     of :func:`pipeflow_ray.stages.cep.match_kleene`).
 
@@ -1500,7 +1478,7 @@ class KleeneBucketActor(_Reusable):
                  key: str = "conv_id", order: str = "turn_idx",
                  seal_gap_us: int | None = None, stitch: bool = False,
                  emit=()):
-        from pipeflow_ray.stages.cep import check_kleene_emit
+        from pipeflow_ray.stages.cep import check_kleene_emit, empty_kleene
 
         if n_pre < 0 or n_post < 0:
             raise ValueError("negative step counts")
@@ -1516,6 +1494,7 @@ class KleeneBucketActor(_Reusable):
                 "(watermark-timeout sealing of maximal runs) or stitch=True "
                 "(evidence-based sealing with run summaries)"
             )
+        super().__init__(pd.DataFrame(), empty_kleene(key, self.emit))
         self.n_pre = n_pre
         self.n_post = n_post
         self.within_us = within_us
@@ -1523,10 +1502,7 @@ class KleeneBucketActor(_Reusable):
         self.stitch = stitch
         self.key = key
         self.order = order
-        self.parts: list[pd.DataFrame] = []
-        self.carry: pd.DataFrame | None = None
         self.prev_wm = _NO_MARK
-        self.buf: list[pd.DataFrame] = []
         # stitch mode: per-key compacted open-run tail summaries
         # key → (pre_valid, start_ti, start_ts, end_ti, end_ts, blen,
         # emit_vals); start is PREFIX-INCLUSIVE (batch emits ti/ts of the
@@ -1535,20 +1511,19 @@ class KleeneBucketActor(_Reusable):
         # tracks the last compacted row)
         self.summaries: dict = {}
 
-    def process(self, df: pd.DataFrame) -> None:
-        if len(df):
-            self.parts.append(df)
-
     def evict(self, watermark_us: int, final: bool = False) -> None:
         if self.stitch:
             self._evict_stitch(watermark_us, final)
         else:
             self._evict_timeout(watermark_us)
+        if final:  # end of stream: every run was decided
+            self.carry = pd.DataFrame()
+            self.summaries = {}
 
     def _evict_timeout(self, watermark_us: int) -> None:
         from pipeflow_ray.stages.cep import scan_kleene
 
-        df = _take_rows(self)
+        df = self._take_rows()
         if df is None:
             self.prev_wm = max(self.prev_wm, watermark_us)
             return
@@ -1604,7 +1579,7 @@ class KleeneBucketActor(_Reusable):
         because a decided run's B rows (and an absorbed summary) leave the
         state in the same evict that emits it — nothing re-derives."""
         npre = self.n_pre
-        df = _take_rows(self)
+        df = self._take_rows()
         if df is None:
             if final and self.summaries:
                 self._emit_summaries(list(self.summaries.items()))
@@ -1782,15 +1757,8 @@ class KleeneBucketActor(_Reusable):
                 frame[name] = np.array([r[6][i] for r in rows], dtype=object)
             self.buf.append(frame)
 
-    def flush(self) -> pd.DataFrame:
-        self.evict(_EOF_MARK, final=True)
-        self.carry = None
-        self.summaries = {}
-        return self.drain()
-
     def state_size(self) -> int:
-        n = 0 if self.carry is None else len(self.carry)
-        return n + sum(len(p) for p in self.parts) + len(self.summaries)
+        return super().state_size() + len(self.summaries)
 
     # --- checkpoint support. prev_wm needs no persistence: no complete
     # match can exist entirely inside the retained sealed context (a sealed
@@ -1800,15 +1768,10 @@ class KleeneBucketActor(_Reusable):
     # state removal are atomic within one evict, and summaries persist in
     # the snapshot. ---
 
-    def drain(self) -> pd.DataFrame:
-        from pipeflow_ray.stages.cep import empty_kleene
-
-        return _drain(self, empty_kleene(self.key, self.emit))
-
     _SUMMARY_COLS = ("__s_pre", "__s_sti", "__s_sts", "__s_eti", "__s_ets", "__s_blen")
 
     def dump_state(self) -> pd.DataFrame:
-        base = _tail_rows(self)
+        base = self._tail_rows()
         if not self.stitch:
             return base
         # stitch mode: summaries ride in the same frame as marker rows so
@@ -1869,7 +1832,7 @@ class ParallelKleeneRunner(_ParallelReplayBase):
     equality to batch additionally requires intra-run consecutive-turn
     event-time gaps ≤ seal_gap_s) or by observed evidence with bounded
     run-summary stitching (``stitch=True`` — round-4 VERDICT #8; exact
-    batch parity under ANY gap). See :class:`KleeneBucketActor`."""
+    batch parity under ANY gap). See :class:`_KleeneState`."""
 
     mode = "cep"
     _count = "matches"
@@ -1922,11 +1885,9 @@ class ParallelKleeneRunner(_ParallelReplayBase):
                 "key": self.key, "order": self.order, "ts_col": self.ts_col,
                 "columns": self.columns, "derive": self.derive}
 
-    def _make_bucket_actor(self):
-        return _acquire(KleeneBucketActor, self.n_pre, self.n_post, self.within_us,
-                        key=self.key, order=self.order,
-                        seal_gap_us=self.seal_gap_us,
-                        stitch=self.stitch, emit=self.emit)
+    def _bucket_state(self) -> tuple:
+        return (_KleeneState, self.n_pre, self.n_post, self.within_us, self.key,
+                self.order, self.seal_gap_us, self.stitch, self.emit)
 
 
 class ParallelCheckpointingCepRunner(_ParallelCheckpointMixin, ParallelCepRunner):
@@ -1950,7 +1911,7 @@ class ParallelCheckpointingCepRunner(_ParallelCheckpointMixin, ParallelCepRunner
 
 class ParallelCheckpointingAbsenceRunner(_ParallelCheckpointMixin, ParallelAbsenceRunner):
     """Checkpointed streaming timeout detection: the epoch recipe over the
-    absence actor's trigger state (decided triggers leave the state, so
+    absence state's trigger state (decided triggers leave the state, so
     resume cannot re-emit; the snapshot is just the undecided tail)."""
 
     _kind = "absence-checkpoint"
@@ -1958,7 +1919,7 @@ class ParallelCheckpointingAbsenceRunner(_ParallelCheckpointMixin, ParallelAbsen
 
 class ParallelCheckpointingKleeneRunner(_ParallelCheckpointMixin, ParallelKleeneRunner):
     """Checkpointed streaming Kleene-plus: epoch recipe over the breaker-
-    retained run state (see KleeneBucketActor's prev_wm-free resume note)."""
+    retained run state (see _KleeneState's prev_wm-free resume note)."""
 
     _kind = "kleene-checkpoint"
 
@@ -1969,32 +1930,20 @@ class ParallelCheckpointingKleeneRunner(_ParallelCheckpointMixin, ParallelKleene
 # path, in the ``ingest`` mode of :class:`ShardReplayer`. A family is a
 # per-batch partial — a module-level function the replayers apply to each
 # micro-batch, returning ``(keys, *payload arrays)`` — and a plain state
-# class (``process``, ``flush``, optionally ``state_size``) that
-# :class:`IngestBucketActor` holds for one hash bucket of keys. Every state
+# class (``process``, ``flush``, optionally ``state_size``; base
+# :class:`_IngestState`) that :class:`StateBucketActor` holds for one hash
+# bucket of keys. Every state
 # tolerates any shard interleaving: the exact states flush the same result,
 # the sketches keep their bounds.
 # ---------------------------------------------------------------------------
 
 
-@ray.remote(num_cpus=0)
-class IngestBucketActor(_Reusable):
-    """One hash bucket of an aggregate-on-ingest runner: holds the family's
-    state object and forwards the replayers' and the driver's calls."""
-
-    def __init__(self, state_cls, *args):
-        self.state = state_cls(*args)
-
-    def process(self, *arrays) -> None:
-        self.state.process(*arrays)
+class _IngestState:
+    """Base of the seven aggregate-on-ingest states: they merge
+    commutatively, so a barrier finalizes nothing."""
 
     def evict(self, watermark_us: int) -> None:
         """A commutative state has nothing to finalize at a barrier."""
-
-    def flush(self) -> "pd.DataFrame | pa.Table":
-        return self.state.flush()
-
-    def state_size(self) -> int:
-        return self.state.state_size()
 
 
 class _IngestReplay(_ParallelReplayBase):
@@ -2013,8 +1962,8 @@ class _IngestReplay(_ParallelReplayBase):
     def _params(self) -> dict:
         return self.params
 
-    def _make_bucket_actor(self):
-        return _acquire(IngestBucketActor, *self.state)
+    def _bucket_state(self) -> tuple:
+        return self.state
 
 
 def _run_on_ingest(parquet_path: str, micro_batch_rows: int, *, num_buckets: int,
@@ -2065,7 +2014,7 @@ def _histogram_partial(t: pa.Table, key_col: str, value_fn):
     return p.key.to_numpy(dtype=object), p.value.to_numpy(), p.c.to_numpy()
 
 
-class _HistogramState:
+class _HistogramState(_IngestState):
     """Value-histogram state for one hash bucket of keys: ``(key, value) →
     count``. State is O(keys × distinct values) ints — EXACT quantiles at
     any flush for bounded-cardinality value domains, in one pass. The flush
@@ -2152,7 +2101,7 @@ def _kll_partial(t: pa.Table, key_col: str, value_fn, k: int):
     return pd.Series(key_rows).to_numpy(dtype=object), np.array(blobs, dtype=object)
 
 
-class _KLLState:
+class _KLLState(_IngestState):
     """KLL-sketch state for one hash bucket of keys: ``key → KLLSketch``.
     Commutative merge (any shard interleaving), state O(keys · k · log(n/k))
     floats REGARDLESS of the value domain — the unbounded-continuous-domain
@@ -2231,7 +2180,7 @@ def _vocab_partial(t: pa.Table, text_col: str, id_col: str):
     return p.token.to_numpy(dtype=object), p.df_c.to_numpy(), p.tf_c.to_numpy()
 
 
-class _VocabState:
+class _VocabState(_IngestState):
     """Vocabulary state for one hash bucket of tokens: per-token document
     frequency and total term frequency. Commutative merge; state is
     O(vocabulary) — the vocabulary-build sibling of dedup-on-ingest.
@@ -2307,7 +2256,7 @@ def _fingerprint_partial(t: pa.Table, text_col: str, id_col: str):
             t[id_col].to_numpy(zero_copy_only=False).astype(np.int64))
 
 
-class _FingerprintState:
+class _FingerprintState(_IngestState):
     """Seen-fingerprint state for one hash bucket: fingerprint → min doc id.
     State is O(distinct fingerprints in the bucket) int64 pairs — the content
     itself is never held, which is what makes dedup-on-ingest feasible at
@@ -2390,7 +2339,7 @@ def _hll_partial(t: pa.Table, key_col: str, value_col: str, p: int):
             np.array(regs, dtype=object))
 
 
-class _HLLState:
+class _HLLState(_IngestState):
     """Per-key HyperLogLog register state for one hash bucket of keys.
     Merge is element-wise max — associative/commutative, so shard
     interleaving yields BIT-IDENTICAL registers to a single sequential pass
@@ -2478,7 +2427,7 @@ def _key_count_partial(t: pa.Table, key_col: str):
     return vc.index.to_numpy(dtype=object), vc.to_numpy()
 
 
-class _SpaceSavingState:
+class _SpaceSavingState(_IngestState):
     """Space-saving summary (Metwally et al., mergeable batched variant) for
     one hash bucket of keys. Holds at most *m* (key → [count_upper, err])
     entries; a batch partial (key, cnt) either adds to an existing entry,
@@ -2597,7 +2546,7 @@ def _conv_sig_partial(t: pa.Table, key_col: str, order_col: str, sig_cols: list)
             np.diff(np.append(starts, len(ks))).astype(np.int64))
 
 
-class _ConvSigState:
+class _ConvSigState(_IngestState):
     """Per-conversation accumulating signature state for one key bucket."""
 
     def __init__(self):

@@ -27,7 +27,7 @@ Execution shape (100-TB discipline):
 
 Assumption (documented, standard for CEP on transcript logs): event time is
 non-decreasing in the order column within a key. The batch path does not
-need it; the STREAMING path (``pipelines.streaming.CepBucketActor``) relies
+need it; the STREAMING path (``pipelines.streaming._CepState``) relies
 on it for exactly-once emission at watermark barriers.
 """
 

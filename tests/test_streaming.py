@@ -14,7 +14,7 @@ import ray.data
 
 from pipeflow_ray.pipelines import streaming
 from pipeflow_ray.pipelines.flagship import flagship_pipeline, normalize, session_stats
-from pipeflow_ray.pipelines.streaming import SessionBucketActor, StreamingSessionRunner
+from pipeflow_ray.pipelines.streaming import StreamingSessionRunner, _SessionState
 
 
 def _batch_oracle_sessions(path: str, gap_s: float) -> pd.DataFrame:
@@ -81,9 +81,8 @@ def test_watermark_eviction_bounds_state(transcripts_path):
     """After the run (eviction ran after every batch), open state must be
     far smaller than total conversations — sessions close as the watermark
     passes them."""
-    runner = StreamingSessionRunner(gap_s=1800.0, lateness_s=600.0, num_buckets=2)
-    actors = [SessionBucketActor.remote(1800.0) for _ in range(2)]
-    # drive manually to inspect state before flush
+    states = [_SessionState(1800.0) for _ in range(2)]
+    # drive the bucket states manually to inspect them before the flush
     import pyarrow as _pa
 
     pf = pq.ParquetFile(transcripts_path)
@@ -106,9 +105,12 @@ def test_watermark_eviction_bounds_state(transcripts_path):
                                 [["conv_id", "start_us", "end_us", "n_turns", "n_chars"]],
                                 1800 * 1_000_000)
         b = pd.util.hash_array(frags.conv_id.to_numpy(dtype=object)) % 2
-        ray.get([actors[i].process.remote(frags[b == i]) for i in range(2) if (b == i).any()])
-        ray.get([a.evict.remote(wm) for a in actors])
-    open_state = sum(ray.get([a.state_size.remote() for a in actors]))
+        for i in range(2):
+            if (b == i).any():
+                states[i].process(frags[b == i])
+        for st in states:
+            st.evict(wm)
+    open_state = sum(st.state_size() for st in states)
     total_convs = len(pq.read_table(transcripts_path, columns=["conv_id"]).column(0).unique())
     assert open_state < total_convs * 0.5  # most conversations evicted before flush
 
@@ -979,7 +981,7 @@ def test_warm_rerun_spawns_no_actor_and_equals_cold_run(tmp_path):
     _cold_cache()
     _sessions_then_topk(a, str(tmp_path / "a"), gap_s=1800.0, m=16)
     warm = set(_idle_actors())
-    assert len(warm) == 4 + 1 + 4  # session buckets, replayer, top-k
+    assert len(warm) == 4 + 1  # bucket actors (session, then top-k), replayer
     got = _sessions_then_topk(b, str(tmp_path / "b_warm"), gap_s=600.0, m=4)
     assert set(_idle_actors()) == warm  # no actor was spawned
     _cold_cache()
@@ -1001,12 +1003,74 @@ def test_on_ingest_run_leaves_a_warm_replayer(tmp_path):
     _cold_cache()
     StreamingTopKRunner("conv_id", m=8, num_buckets=4, max_replayers=1).run(
         a, micro_batch_rows=128)
-    assert sorted(n for n, _ in streaming._idle) == ["IngestBucketActor"] * 4 + ["ShardReplayer"]
+    assert sorted(n for n, _ in streaming._idle) == ["ShardReplayer"] + ["StateBucketActor"] * 4
     replayer = [h for n, h in streaming._idle if n == "ShardReplayer"]
     ParallelCheckpointingSessionRunner(
         gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1,
     ).run(a, str(tmp_path / "sessions"), micro_batch_rows=128, checkpoint_every=2)
     assert [h for n, h in streaming._idle if n == "ShardReplayer"] == replayer
+
+
+def test_bucket_actors_serve_every_mode(tmp_path):
+    """Every runner's bucket actor is one class: after a session run, a
+    join, a CEP and a top-k run take its idle actors and spawn none, and
+    each output equals the same run made cold."""
+    from pipeflow_ray.pipelines.streaming import (
+        ParallelCepRunner,
+        ParallelJoinRunner,
+        ParallelStreamingRunner,
+        StreamingTopKRunner,
+    )
+
+    a = _turns_file(tmp_path, "a", 1000, seed=6)
+    kw = dict(lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1)
+    runs = {
+        "join": lambda: ParallelJoinRunner(**kw).run(a, 128),
+        "cep": lambda: ParallelCepRunner([{"role": "user"}, {"role": "tool"}],
+                                         **kw).run(a, 128),
+        "topk": lambda: StreamingTopKRunner("conv_id", m=8, num_buckets=4,
+                                            max_replayers=1).run(a, micro_batch_rows=128),
+    }
+    _cold_cache()
+    ParallelStreamingRunner(gap_s=1800.0, **kw).run(a, 128)
+    warm = set(_idle_actors())
+    assert len(warm) == 4 + 1
+    got = {}
+    for name, run in runs.items():
+        got[name] = run()
+        assert set(_idle_actors()) == warm, name  # no actor was spawned
+    for name, run in runs.items():
+        _cold_cache()
+        out, metrics = run()
+        assert len(out) and metrics == got[name][1], name
+        pd.testing.assert_frame_equal(got[name][0], out)
+
+
+@pytest.mark.parametrize("make", [
+    lambda p, o: streaming.ParallelTumblingRunner(width_s=0),
+    lambda p, o: streaming.ParallelTumblingRunner(width_s=-7200.0),
+    lambda p, o: streaming.ParallelSlidingRunner(slide_s=0),
+    lambda p, o: streaming.ParallelSlidingRunner(width_s=-7200.0, slide_s=-3600.0),
+    lambda p, o: streaming.ParallelSlidingRunner(width_s=0, slide_s=3600.0),
+    lambda p, o: streaming.ParallelStreamingRunner(num_buckets=0),
+    lambda p, o: streaming.ParallelJoinRunner(epoch_batches=0),
+    lambda p, o: streaming.StreamingTopKRunner("conv_id", num_buckets=0).run(p),
+    lambda p, o: streaming.ParallelStreamingRunner().run(p, micro_batch_rows=0),
+    lambda p, o: streaming.StreamingHLLRunner("conv_id", "role").run(p, micro_batch_rows=0),
+    lambda p, o: streaming.ParallelCheckpointingSessionRunner().run(p, o, checkpoint_every=0),
+], ids=["width0", "width_neg", "slide0", "sliding_neg", "sliding_width0", "buckets0",
+        "epoch_batches0", "ingest_buckets0", "micro_batch0", "ingest_micro_batch0",
+        "checkpoint_every0"])
+def test_bad_arguments_raise_before_any_actor(make, transcripts_path, tmp_path, monkeypatch):
+    """A width, slide, bucket count, batch size or epoch length that could
+    not work raises ValueError before the runner asks for an actor (a zero
+    epoch length would otherwise replay forever)."""
+    def no_actor(*args, **kwargs):
+        raise AssertionError("an actor was requested")
+
+    monkeypatch.setattr(streaming, "_acquire", no_actor)
+    with pytest.raises(ValueError):
+        make(transcripts_path, str(tmp_path / "out"))
 
 
 def _kill_and_wait(actor) -> None:
@@ -1028,7 +1092,7 @@ def test_actor_killed_while_idle_is_replaced(tmp_path):
     got = _sessions_then_topk(a, str(tmp_path / "got"), gap_s=1800.0, m=8)
     _assert_same_run(got, ref)
     idle = set(_idle_actors())
-    assert len(idle) == 9 and not idle & set(victims)
+    assert len(idle) == 5 and not idle & set(victims)
 
 
 def test_crashed_run_leaves_cache_empty_and_resumes_exactly(tmp_path):
@@ -1099,7 +1163,7 @@ def test_perfbench_name_patterns_match_streaming_tasks():
     assert not [n.name for n in tree.body if isinstance(n, ast.FunctionDef) and remote(n)]
     actors = [n.name for n in tree.body if isinstance(n, ast.ClassDef) and remote(n)
               and any(isinstance(f, ast.FunctionDef) and f.name == "process" for f in n.body)]
-    assert {"SessionBucketActor", "IngestBucketActor"} <= set(actors)
+    assert actors == ["StateBucketActor"]
     for name in actors:
         assert _ACTOR_METHOD.match(f"task::{name}.process"), name
 
@@ -1145,7 +1209,7 @@ def test_topk_heap_eviction_equals_min_scan():
         pd.testing.assert_frame_equal(state.flush(), _topk_min_scan(batches, m))
 
 
-# --- Bucket-state models without Ray: each columnar actor against the
+# --- Bucket-state models without Ray: each columnar state against the
 # per-row Python state it replaced (copied here as the reference). ---
 
 class _SessionDictRef:
@@ -1295,10 +1359,11 @@ def _join_rows(rng, n: int) -> pd.DataFrame:
 
 # Times, gaps, widths and watermarks share a 600 µs grid, so every boundary
 # (end + gap = wm, window end = wm, start − end = gap) is hit.
-_MODELS = {  # actor, its constructor arg, the reference, a frame of input rows, time column
-    "session": ("SessionBucketActor", 1.2e-3, _SessionDictRef, _session_rows, "start_us"),
-    "tumbling": ("TumblingBucketActor", 1.8e-3, _TumblingDictRef, _window_rows, "window_start_us"),
-    "join": ("JoinBucketActor", 1.2e-3, _JoinDictRef, _join_rows, "ts_us"),
+_MODELS = {  # state, its constructor arg, the reference, a frame of input rows, time column
+    "session": (streaming._SessionState, 1.2e-3, _SessionDictRef, _session_rows, "start_us"),
+    "tumbling": (streaming._TumblingState, 1.8e-3, _TumblingDictRef, _window_rows,
+                 "window_start_us"),
+    "join": (streaming._JoinState, 1.2e-3, _JoinDictRef, _join_rows, "ts_us"),
 }
 
 
@@ -1311,8 +1376,7 @@ def test_columnar_bucket_state_equals_dict_reference(mode, seed):
     emitted frame and the open-state size agree after every barrier and at
     the flush. At one barrier a checkpointed state also goes through
     ``dump_state``/``load_state``."""
-    name, arg_s, ref_cls, rows_of, time_col = _MODELS[mode]
-    cls = getattr(streaming, name).__ray_metadata__.modified_class
+    cls, arg_s, ref_cls, rows_of, time_col = _MODELS[mode]
     rng = np.random.default_rng(seed)
     rows = rows_of(rng, 400)
     # mostly time-ordered arrival with local disorder
@@ -1351,16 +1415,25 @@ def test_columnar_bucket_state_equals_dict_reference(mode, seed):
 
 
 def test_bucket_actor_process_only_appends():
-    """The ``process`` of every bucket actor has no loop: it only buffers
-    the routed frame, and the work happens at the barrier (``evict``)."""
+    """The bucket actor's ``process`` only forwards and the event-time
+    states' one ``process`` only buffers the routed frame: neither has a
+    loop, and the work happens at the barrier (``evict``). No event-time
+    state overrides ``process``."""
     import ast
 
     with open(streaming.__file__) as f:
         tree = ast.parse(f.read())
-    actors = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name.endswith("BucketActor")]
-    assert len(actors) == 7
-    for cls in actors:
-        (process,) = [f for f in cls.body if isinstance(f, ast.FunctionDef) and f.name == "process"]
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+
+    def methods(cls) -> dict:
+        return {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+
+    for name in ("StateBucketActor", "_EventTimeState"):
+        process = methods(classes[name])["process"]
         loops = [type(n).__name__ for n in ast.walk(process)
                  if isinstance(n, (ast.For, ast.AsyncFor, ast.While, ast.comprehension))]
-        assert not loops, (cls.name, loops)
+        assert not loops, (name, loops)
+    states = [c for c in classes.values()
+              if any(ast.unparse(b) == "_EventTimeState" for b in c.bases)]
+    assert len(states) == 6
+    assert not [c.name for c in states if "process" in methods(c)]
