@@ -654,7 +654,65 @@ def simhash_dup_pairs(
 # embedding cosine near-dup
 # ---------------------------------------------------------------------------
 
-_VERIFY_BLOCK = 1024  # rows per in-bucket verify matmul (bounds its memory)
+_VERIFY_BLOCK = 1024  # rows per large-group verify matmul (bounds its memory)
+_VERIFY_MAX_GROUP = 20_000  # larger LSH groups are hot buckets: not verified
+_VERIFY_CLASSES = (3, 7, 15, 32)  # padded sizes of the batched small-group verify
+_VERIFY_CELLS = 1 << 21  # elements per batched verify chunk (input and output)
+
+
+def _verify_groups(ids: np.ndarray, x: np.ndarray, key: np.ndarray,
+                   threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of rows with equal *key* and ``x[i] · x[j] ≥ threshold``
+    (*x* unit rows) as ``(id_a, id_b, cosine)`` with ``id_a < id_b``.
+
+    One stable argsort lays each group out as a contiguous segment. Groups
+    of 2–32 rows (nearly all LSH groups) are verified by size class: each
+    group is padded to its class maximum (3, 7, 15, 32) and every chunk of
+    groups is one ``(G, s, d) @ (G, d, s)`` matmul, masked to the upper
+    triangle and to real rows — one numpy call per chunk instead of one
+    Python iteration per group. Larger groups are verified in blocks of
+    :data:`_VERIFY_BLOCK` rows against their own later rows (O(block × n)
+    memory, never an n × n matrix); groups above :data:`_VERIFY_MAX_GROUP`
+    rows are skipped."""
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+    sizes = np.diff(np.r_[starts, len(ks)])
+    out_a, out_b, out_c = [], [], []
+
+    def emit(a, b, c):
+        out_a.append(np.minimum(a, b))
+        out_b.append(np.maximum(a, b))
+        out_c.append(c)
+
+    lo = 2
+    for cap in _VERIFY_CLASSES:
+        cls = (sizes >= lo) & (sizes <= cap)
+        lo = cap + 1
+        st, sz = starts[cls], sizes[cls]
+        step = max(1, _VERIFY_CELLS // (cap * max(cap, x.shape[1])))
+        upper = np.triu(np.ones((cap, cap), bool), 1)
+        for g0 in range(0, len(st), step):
+            s, n = st[g0:g0 + step, None], sz[g0:g0 + step, None]
+            real = np.arange(cap) < n  # (G, cap); padding repeats the first row
+            rows = order[np.where(real, s + np.arange(cap), s)]
+            v = x[rows]
+            sims = v @ v.transpose(0, 2, 1)
+            g, r, c = np.nonzero((sims >= threshold) & upper & real[:, None, :])
+            emit(ids[rows[g, r]], ids[rows[g, c]], sims[g, r, c])
+    big = (sizes > _VERIFY_CLASSES[-1]) & (sizes <= _VERIFY_MAX_GROUP)
+    for s, n in zip(starts[big], sizes[big]):
+        g = order[s:s + n]
+        gid, v = ids[g], x[g]
+        for r0 in range(0, n - 1, _VERIFY_BLOCK):
+            sims = v[r0:r0 + _VERIFY_BLOCK] @ v[r0:].T  # block rows × rows ≥ r0
+            r, c = np.nonzero(sims >= threshold)
+            keep = c > r
+            r, c = r[keep], c[keep]
+            emit(gid[r0 + r], gid[r0 + c], sims[r, c])
+    if not out_a:
+        return ids[:0], ids[:0], np.zeros(0)
+    return np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_c)
 
 
 def embedding_neardup_pairs(
@@ -671,14 +729,19 @@ def embedding_neardup_pairs(
     sets (a single 12-plane table catches a cosine-0.95 pair with only
     ~(1−arccos(0.95)/π)^12 ≈ 37% probability; six independent tables push the
     miss rate below 7% and exact duplicates always collide — ADVICE r1),
-    then an exact in-bucket cosine verify. Precision is exact (every emitted
-    pair is verified); recall is the OR-amplified LSH probability.
+    then an exact in-bucket cosine verify (:func:`_verify_groups`).
+    Precision is exact (every emitted pair is verified); recall is the
+    OR-amplified LSH probability.
 
     Two keyed exchanges: (table, bucket) for the verify, then (id_a, id_b)
-    to drop pairs found in several tables. Both outputs are only merged, so
-    each is sized by :func:`~pipeflow_ray.stages.core.merge_buckets` from
-    its materialized input (2 × session CPUs unless the input outgrows Ray
-    Data's block target), not by the 64-bucket default."""
+    to drop pairs found in several tables. The LSH bucketing is the first
+    exchange's split-task prep over the materialized input, so each vector
+    reaches the object store once per table only as an exchange slice; no
+    bucketed copy is kept. Both outputs are only merged, so each is sized by
+    :func:`~pipeflow_ray.stages.core.merge_buckets` (the first from
+    *num_tables* × the input: the bytes its split emits), 2 × session CPUs
+    unless that outgrows Ray Data's block target, not by the 64-bucket
+    default."""
 
     def _bucket(t: pa.Table) -> pa.Table:
         """Emit one row per (vector, table): bucket = signbits of the
@@ -707,46 +770,27 @@ def embedding_neardup_pairs(
             )
         return pa.concat_tables(parts)
 
-    bucketed = ds.map_batches(_bucket, batch_format="pyarrow").materialize()
-
     def _super_bucket_pairs(t: pa.Table) -> pa.Table:
-        """One call per hash super-bucket. Rows are unit-normalized once;
-        one stable argsort on the (table, bucket) key lays each group out
-        as a contiguous segment, and each group is verified in row blocks
-        against its own later rows (the upper triangle): O(block × n)
-        memory per group, never an n × n matrix or n² index arrays."""
-        ids_all = t[id_col].to_numpy(zero_copy_only=False)
+        """One call per hash super-bucket: unit-normalize the rows once and
+        verify every (table, bucket) group in it."""
         x = _list_matrix(t[vec_col], vec_col)
         x /= t["norm"].to_numpy(zero_copy_only=False).clip(min=1e-12)[:, None]
         key = (t["table"].to_numpy(zero_copy_only=False).astype(np.int64) << 32) ^ t[
             "bucket"
         ].to_numpy(zero_copy_only=False)
-        order = np.argsort(key, kind="stable")
-        out_a, out_b, out_c = [], [], []
-        for g in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-            n = len(g)
-            if n < 2 or n > 20_000:
-                continue
-            ids, v = ids_all[g], x[g]
-            for r0 in range(0, n - 1, _VERIFY_BLOCK):
-                sims = v[r0:r0 + _VERIFY_BLOCK] @ v[r0:].T  # block rows × rows ≥ r0
-                r, c = np.nonzero(sims >= threshold)
-                keep = c > r
-                r, c = r[keep], c[keep]
-                a, b = ids[r0 + r], ids[r0 + c]
-                out_a.append(np.minimum(a, b))
-                out_b.append(np.maximum(a, b))
-                out_c.append(sims[r, c])
-        if not out_a:
+        a, b, c = _verify_groups(t[id_col].to_numpy(zero_copy_only=False), x, key,
+                                 threshold)
+        if not len(a):
             return _EMPTY_COSINE.empty_table()
-        return pa.table({"id_a": pa.array(np.concatenate(out_a)),
-                         "id_b": pa.array(np.concatenate(out_b)),
-                         "cosine": pa.array(np.concatenate(out_c), pa.float64())})
+        return pa.table({"id_a": pa.array(a), "id_b": pa.array(b),
+                         "cosine": pa.array(c, pa.float64())})
 
     from pipeflow_ray.stages.core import grouped_by_bucket, merge_buckets
 
-    pairs = grouped_by_bucket(bucketed, ["table", "bucket"], _super_bucket_pairs,
-                              merge_buckets(bucketed), batch_format="pyarrow")
+    ds = ds.materialize()
+    pairs = grouped_by_bucket(ds, ["table", "bucket"], _super_bucket_pairs,
+                              merge_buckets((ds, num_tables)), batch_format="pyarrow",
+                              prep=_bucket)
     # a pair found in several tables appears once: distinct on (id_a, id_b)
     out = grouped_by_bucket(
         pairs,

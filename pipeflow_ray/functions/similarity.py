@@ -20,6 +20,12 @@ execution costs a fixed 0.05–0.10 s, a raw task ~0.7 ms). Every
 nearest-centroid step — the Lloyd assignment, the probe choice, the cell
 assignment — is the single matmul of :func:`_centroid_dist`.
 
+The keyed vector exchanges (:func:`corpus_topk`'s cells, SemDeDup's
+clusters) run their per-block prep (:func:`_corpus_cell_prep`,
+:func:`_query_cell_prep`, :func:`_sem_prep`) inside the exchange's split
+task (``hash_exchange(..., prep=)``): no prepared copy of the vectors is
+written to the object store, the exchange slices are the only one.
+
 Both per-batch kernels are stateless module-level functions over Ray Data's
 warm task-worker pool — a per-query actor pool costs ~1 s of process spawn
 per call (the minhash ``_cached_hasher`` finding); the broadcast payload is
@@ -431,11 +437,12 @@ def corpus_topk(
     The count is *num_buckets* when given, else ``min(n_clusters,``
     :func:`~pipeflow_ray.stages.core.merge_buckets` ``)`` over both
     materialized sides: neither exchange's output is kept as a partitioning.
-    The driver holds only centroids (trained on a bounded sample) — never
-    vectors or results. *corpus* is read once: it is materialized, centroid
-    training samples that copy, and the cell prep reads it; the raw copy is
-    dropped once the prepared one exists, so the object store keeps one
-    prepared copy of the corpus."""
+    The query side's bytes count *nprobe* times in that count: its split
+    emits one row per probed cell. The driver holds only centroids (trained
+    on a bounded sample) — never vectors or results. *corpus* and *queries*
+    are each read once: both are materialized, centroid training samples the
+    corpus copy, and the cell assignments run as the exchanges' split-task
+    preps, so no prepared copy of either side is kept."""
     import ray.data as _rd
 
     from pipeflow_ray.stages.core import grouped_by_bucket, hash_exchange, merge_buckets
@@ -447,18 +454,15 @@ def corpus_topk(
     if not len(cent):
         return _empty_topk(id_col)
     cref = ray.put(cent)
-
-    c_prep = corpus.map_batches(
-        _corpus_cell_prep, fn_kwargs=dict(cref=cref, vec_col=vec_col, id_col=id_col),
-        batch_format="pyarrow").materialize()
-    del corpus
-    q_prep = queries.map_batches(
-        _query_cell_prep, fn_kwargs=dict(cref=cref, nprobe=nprobe,
-                                         vec_col=query_vec_col, id_col=query_id_col),
-        batch_format="pyarrow").materialize()
-    nb = num_buckets or min(len(cent), merge_buckets(c_prep, q_prep))
-    c_buckets = hash_exchange(c_prep, ["__cell"], nb)
-    q_buckets = hash_exchange(q_prep, ["__cell"], nb)
+    queries = queries.materialize()
+    # the query prep emits one row per probed cell: size on what the split emits
+    nb = num_buckets or min(len(cent), merge_buckets(
+        corpus, (queries, min(nprobe, len(cent)))))
+    c_buckets = hash_exchange(corpus, ["__cell"], nb, prep=_functools.partial(
+        _corpus_cell_prep, cref=cref, vec_col=vec_col, id_col=id_col))
+    q_buckets = hash_exchange(queries, ["__cell"], nb, prep=_functools.partial(
+        _query_cell_prep, cref=cref, nprobe=nprobe, vec_col=query_vec_col,
+        id_col=query_id_col))
     parts = []
     for cb, qb in zip(c_buckets, q_buckets):
         if not cb or not qb:
@@ -813,9 +817,8 @@ def semantic_dedup_pairs(
     if cent is None:
         return ray.data.from_arrow(schema.empty_table())
     cref = ray.put(cent)
-    prep = ds.map_batches(
-        _sem_prep, fn_kwargs=dict(cref=cref, scale=scale, vec_col=vec_col, id_col=id_col),
-        batch_format="pyarrow")
-    out = grouped_by_bucket(prep, ["__cluster"], _sem_pairs(tau2, scale),
-                            num_buckets, batch_format="pyarrow")
+    out = grouped_by_bucket(ds, ["__cluster"], _sem_pairs(tau2, scale),
+                            num_buckets, batch_format="pyarrow",
+                            prep=_functools.partial(_sem_prep, cref=cref, scale=scale,
+                                                    vec_col=vec_col, id_col=id_col))
     return _stable_empty(out, schema)

@@ -1483,17 +1483,6 @@ class _KleeneState(_EventTimeState):
         if n_pre < 0 or n_post < 0:
             raise ValueError("negative step counts")
         self.emit = check_kleene_emit(emit, n_pre, n_post)
-        if stitch and n_post >= 1:
-            raise ValueError(
-                "stitch mode is for suffix-free patterns; a fixed suffix "
-                "already seals maximality exactly"
-            )
-        if n_post < 1 and seal_gap_us is None and not stitch:
-            raise ValueError(
-                "suffix-free streaming Kleene needs seal_gap_us "
-                "(watermark-timeout sealing of maximal runs) or stitch=True "
-                "(evidence-based sealing with run summaries)"
-            )
         super().__init__(pd.DataFrame(), empty_kleene(key, self.emit))
         self.n_pre = n_pre
         self.n_post = n_post
@@ -1863,6 +1852,19 @@ class ParallelKleeneRunner(_ParallelReplayBase):
                 f"(got {len(steps)})")
         self.n_pre = plus_idx[0]
         self.n_post = len(steps) - self.n_pre - 1
+        # the bucket states' sealing modes, checked here: inside a bucket
+        # actor the error would surface only at run time, as ActorDiedError
+        if stitch and self.n_post >= 1:
+            raise ValueError(
+                "stitch mode is for suffix-free patterns; a fixed suffix "
+                "already seals maximality exactly"
+            )
+        if self.n_post < 1 and seal_gap_s is None and not stitch:
+            raise ValueError(
+                "suffix-free streaming Kleene needs seal_gap_s "
+                "(watermark-timeout sealing of maximal runs) or stitch=True "
+                "(evidence-based sealing with run summaries)"
+            )
         self.steps = [s[1] if i == self.n_pre else s for i, s in enumerate(steps)]
         self.within_us = within_us
         self.seal_gap_us = None if seal_gap_s is None else int(seal_gap_s * US)

@@ -117,24 +117,29 @@ def _session_cpus() -> int:
 
 def merge_buckets(*datasets) -> int:
     """Bucket count for a keyed exchange whose output is only merged, never
-    kept as a partitioning: ``max(2 × session CPUs, ⌈input bytes /
+    kept as a partitioning: ``max(2 × session CPUs, ⌈emitted bytes /
     DataContext.target_max_block_size⌉)``.
 
     Every bucket costs fixed work whatever its size (split slices, a reduce
     task, a row count, block metadata): about 5 ms per bucket per exchange
     at 4 slots, so :func:`default_buckets`' floor of 64 dominates small
     inputs. 2 × CPUs keeps every worker busy; the byte term keeps each
-    reduce input at Ray Data's own block target on large inputs. The
-    *datasets* must be materialized: their sizes come from block metadata,
-    nothing is fetched or executed."""
+    reduce input at Ray Data's own block target on large inputs. Each
+    argument is a materialized dataset, or a ``(dataset, copies)`` pair for
+    an exchange whose split ``prep`` emits *copies* rows per input row (the
+    near-dup LSH tables, the query probes): the byte term counts what the
+    split emits, not what it reads. Sizes come from block metadata, nothing
+    is fetched or executed."""
     from ray.data import DataContext
     from ray.data.dataset import MaterializedDataset
 
-    for ds in datasets:
+    nbytes = 0
+    for arg in datasets:
+        ds, copies = arg if isinstance(arg, tuple) else (arg, 1)
         if not isinstance(ds, MaterializedDataset):
             raise TypeError("merge_buckets sizes materialized datasets only; "
                             f"got {type(ds).__name__}")
-    nbytes = sum(ds.size_bytes() or 0 for ds in datasets)
+        nbytes += copies * (ds.size_bytes() or 0)
     target = DataContext.get_current().target_max_block_size
     by_bytes = -(-nbytes // target) if target else 0
     return max(1, 2 * _session_cpus(), by_bytes)
@@ -165,7 +170,7 @@ def add_bucket_column(key_cols: list[str], num_buckets: int = DEFAULT_BUCKETS, o
 
 @ray.remote
 def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
-                      level: int, *blocks):
+                      level: int, prep, *blocks):
     """Split one or more blocks into zero-copy slices by key hash. The final
     bucket of a row is ``b = hash(key) % num_buckets``; level 0 routes by
     group ``b // fanout`` (num_returns = ⌈num_buckets/fanout⌉), level 1 by
@@ -179,7 +184,11 @@ def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
     one per block — 190 blocks × 64 slices of per-object overhead measured
     ~2× the whole exchange wall at sf0.1. Blocks come in whatever format
     their producer made (pandas from ``from_pandas_refs`` or a pandas UDF)
-    and turn into Arrow here, a no-op for Arrow blocks."""
+    and turn into Arrow here, a no-op for Arrow blocks.
+
+    *prep* (``pa.Table -> pa.Table`` or None) runs once over the task's
+    blocks before the hash, so a per-block preparation crosses the object
+    store only as the exchange's own slices (see :func:`hash_exchange`)."""
     from ray.data.block import BlockAccessor
 
     tbls = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
@@ -189,10 +198,14 @@ def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
         # empty blocks can carry an unstable schema (e.g. after a built-in
         # join); never try to select key columns from them
         tbl = max(tbls, key=lambda t: t.num_columns)
+        if prep is not None:
+            tbl = prep(tbl)
         out = tuple(tbl.slice(0, 0) for _ in range(n_out))
         return out if n_out > 1 else out[0]
     tbl = nonempty[0] if len(nonempty) == 1 else pa.concat_tables(
         nonempty, promote_options="default")
+    if prep is not None:
+        tbl = prep(tbl)
     df = tbl.select(key_cols).to_pandas()
     b = pd.util.hash_pandas_object(df, index=False).to_numpy() % num_buckets
     idx = (b // fanout) if level == 0 else (b % fanout)
@@ -229,6 +242,7 @@ def grouped_by_bucket(
     num_buckets: int | None = None,
     batch_format: str = "pandas",
     engine: str = "exchange",
+    prep=None,
 ):
     """Keyed grouped processing WITHOUT per-key Python overhead.
 
@@ -246,13 +260,17 @@ def grouped_by_bucket(
     over the reduce outputs. engine="groupby" keeps everything inside one
     lazy Ray Data plan (``groupby(bucket).map_groups``) at the cost of the
     sort-based shuffle.
+
+    *prep* (``pa.Table -> pa.Table``) prepares the rows before they are
+    keyed: inside the exchange's split tasks (see :func:`hash_exchange`),
+    or as a ``map_batches`` stage in the groupby engine.
     """
     if num_buckets is None:
         num_buckets = default_buckets()
     if engine == "exchange":
         import ray.data as _rd
 
-        buckets = hash_exchange(ds, key_cols, num_buckets)
+        buckets = hash_exchange(ds, key_cols, num_buckets, prep=prep)
         as_pandas = batch_format == "pandas"
         fn_ref = ray.put(fn)  # ship the UDF once, not once per reduce task
         outs = [_reduce_task.remote(fn_ref, as_pandas, *b) for b in buckets]
@@ -262,6 +280,8 @@ def grouped_by_bucket(
             return _rd.from_items([])
         return _rd.from_arrow_refs(refs)
 
+    if prep is not None:
+        ds = ds.map_batches(prep, batch_format="pyarrow")
     ds = ds.map_batches(add_bucket_column(key_cols, num_buckets), batch_format="pyarrow")
 
     if batch_format == "pandas":
@@ -327,7 +347,7 @@ def block_refs(ds) -> list:
 
 
 def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
-                  max_flat_buckets: int = MAX_FLAT_BUCKETS):
+                  max_flat_buckets: int = MAX_FLAT_BUCKETS, prep=None):
     """Explicit map-side hash exchange built on raw Ray tasks: each upstream
     block is split once into per-bucket slices (single stable argsort on the
     key hash, zero-copy slices); the caller reduces each bucket from its
@@ -346,11 +366,22 @@ def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
     Returns ``list[list[ObjectRef[pa.Table]]]``: ``out[j]`` = the slices of
     bucket ``j`` (pass to a reduce task; empty slices included).
 
+    *prep* (``pa.Table -> pa.Table``, shipped once with ``ray.put``) runs
+    inside each split task over its blocks before they are hashed, so
+    *key_cols* may be columns that *prep* adds; it must accept an empty
+    table and keep its output schema there. Running a per-block vector prep
+    here instead of as a ``map_batches(prep).materialize()`` stage writes no
+    prepared copy to the object store: the slices are the only copy. In
+    the two-level exchange it runs at level 0 only.
+
     A :class:`KeyedBuckets` handle passes straight through (same-key reuse):
     its existing slices are returned with NO new exchange, after a bucket
-    count check.
+    count check; its rows are already split, so a *prep* raises.
     """
     if isinstance(ds, KeyedBuckets):
+        if prep is not None:
+            raise ValueError("a KeyedBuckets handle is already split; "
+                             "it cannot take a split-task prep")
         if num_buckets is not None and num_buckets != ds.num_buckets:
             raise ValueError(
                 f"KeyedBuckets has {ds.num_buckets} buckets; stage wants {num_buckets}"
@@ -378,11 +409,12 @@ def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
     # the task; top-level varargs, per the Ray ref-resolution rule)
     n_tasks = min(len(refs), min(num_buckets, max_flat_buckets))
     groups = [list(g) for g in np.array_split(np.array(refs, dtype=object), n_tasks)]
+    prep_ref = None if prep is None else ray.put(prep)  # once, not once per task
 
     if num_buckets <= max_flat_buckets:
         parts = [
             _split_level_task.options(num_returns=num_buckets).remote(
-                key_cols, num_buckets, num_buckets, 1, *g)
+                key_cols, num_buckets, num_buckets, 1, prep_ref, *g)
             for g in groups
         ]
         if num_buckets == 1:
@@ -398,7 +430,7 @@ def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
     n_groups = (num_buckets + fanout - 1) // fanout
     level0 = [
         _split_level_task.options(num_returns=n_groups).remote(
-            key_cols, num_buckets, fanout, 0, *g)
+            key_cols, num_buckets, fanout, 0, prep_ref, *g)
         for g in groups
     ]
     level0 = [p if n_groups > 1 else [p] for p in level0]
@@ -406,7 +438,7 @@ def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
     for g in range(n_groups):
         n_ret = fanout
         sub = _split_level_task.options(num_returns=n_ret).remote(
-            key_cols, num_buckets, fanout, 1, *[p[g] for p in level0])
+            key_cols, num_buckets, fanout, 1, None, *[p[g] for p in level0])
         sub = sub if n_ret > 1 else [sub]
         for j in range(fanout):
             b = g * fanout + j

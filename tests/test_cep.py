@@ -119,7 +119,7 @@ def test_kleene_step_bound_is_eager():
         ParallelKleeneRunner(steps, stitch=True)
     with pytest.raises(ValueError, match="at most 32 steps"):
         ParallelCheckpointingKleeneRunner(steps, stitch=True)
-    ParallelKleeneRunner(steps[:MAX_STEPS], stitch=True)  # 32 steps: at the bound
+    ParallelKleeneRunner(steps[:MAX_STEPS])  # 32 steps (fixed suffix): at the bound
 
 
 def test_match_pattern_dataset(transcripts_table):
@@ -565,11 +565,11 @@ def test_suffix_free_streaming_kleene_requires_seal_gap():
     from pipeflow_ray.pipelines.streaming import ParallelKleeneRunner
 
     import pytest as _pt
-    r = ParallelKleeneRunner([{"nc": (">=", 1)}, ("+", {"nc": ("<", 3)})])
-    with _pt.raises(Exception, match="seal_gap"):
-        # actor ctor validates; surface the error through a tiny run
-        import ray as _ray
-        _ray.get(r._make_bucket_actor().state_size.remote())
+    with _pt.raises(ValueError, match="seal_gap"):
+        ParallelKleeneRunner([{"nc": (">=", 1)}, ("+", {"nc": ("<", 3)})])
+    with _pt.raises(ValueError, match="stitch mode is for suffix-free"):
+        ParallelKleeneRunner([{"nc": (">=", 1)}, ("+", {"nc": ("<", 3)}),
+                              {"nc": (">=", 3)}], stitch=True)
 
 
 def test_kleene_emit_batch_many_streaming(tmp_path):

@@ -279,14 +279,20 @@ def test_hierarchical_exchange_matches_flat():
             )
         return out
 
-    flat = collect(hash_exchange(ds, ["k"], nb, max_flat_buckets=4096))
-    hier = collect(hash_exchange(ds, ["k"], nb, max_flat_buckets=8))  # force 2-level
-    assert len(flat) == len(hier) == nb
-    for b in range(nb):
-        if flat[b] is None:
-            assert hier[b] is None or len(hier[b]) == 0
-        else:
-            pd.testing.assert_frame_equal(flat[b], hier[b])
+    def prep(t):  # a split-task prep that adds the key and doubles the rows
+        k2 = pa.array([s[:3] for s in t["k"].to_pylist()], pa.string())
+        return pa.concat_tables([t.append_column("k2", k2)] * 2)
+
+    for key, kw in ((["k"], {}), (["k2"], {"prep": prep})):
+        flat = collect(hash_exchange(ds, key, nb, max_flat_buckets=4096, **kw))
+        hier = collect(hash_exchange(ds, key, nb, max_flat_buckets=8, **kw))  # force 2-level
+        assert len(flat) == len(hier) == nb
+        assert sum(len(f) for f in flat if f is not None) == n * (2 if kw else 1)
+        for b in range(nb):
+            if flat[b] is None:
+                assert hier[b] is None or len(hier[b]) == 0
+            else:
+                pd.testing.assert_frame_equal(flat[b], hier[b])
 
 
 def test_sliding_null_ts_consistent_with_tumbling():

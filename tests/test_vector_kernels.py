@@ -1,7 +1,8 @@
-"""Zero-copy vector prep (``similarity._list_matrix``), the blocked
-embedding near-dup verify, the merge-only exchange sizing
-(``stages.core.merge_buckets``), IVF centroid training and its read-once
-callers, and empty-input schemas of the retrieval and vector-search ops."""
+"""Zero-copy vector prep (``similarity._list_matrix``), the batched and
+blocked embedding near-dup verify, the exchange's split-task prep, the
+merge-only exchange sizing (``stages.core.merge_buckets``), IVF centroid
+training and its read-once callers, and empty-input schemas of the
+retrieval and vector-search ops."""
 
 from __future__ import annotations
 
@@ -189,6 +190,111 @@ def test_embedding_neardup_hot_bucket_crosses_verify_blocks():
     assert must <= set(got_pairs)
     bg_dup = tuple(sorted((int(ids[hot_n]), int(ids[hot_n + 1]))))
     assert bg_dup in set(got_pairs)
+
+
+def _per_group_pairs(ids, x, key, threshold):
+    """Reference verify: one full matmul per group, upper triangle."""
+    out = {}
+    for k in np.unique(key):
+        g = np.flatnonzero(key == k)
+        sims = x[g] @ x[g].T
+        for r, c in zip(*np.nonzero(np.triu(sims >= threshold, 1))):
+            a, b = sorted((int(ids[g[r]]), int(ids[g[c]])))
+            out[(a, b)] = float(sims[r, c])
+    return out
+
+
+def test_verify_groups_matches_per_group_loop():
+    """The batched small-group verify (size classes 2–3, 4–7, 8–15, 16–32,
+    padded) and the blocked large-group verify give the per-group loop's
+    pairs and cosines: group sizes 1–40 cross every class boundary, one
+    group of 1,100 rows crosses a verify block, duplicate rows score 1."""
+    from pipeflow_ray.functions.dedup import _VERIFY_BLOCK, _verify_groups
+
+    rng = np.random.default_rng(21)
+    dim, threshold = 8, 0.8
+    sizes = [s for s in range(1, 41) for _ in range(3)] + [_VERIFY_BLOCK + 76]
+    key = np.repeat(rng.permutation(len(sizes)) * 7 + 2, sizes)
+    x = rng.standard_normal((len(key), dim))
+    x[1:len(key):17] = x[0:len(key) - 1:17]  # duplicate rows, some in one group
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    shuffle = rng.permutation(len(key))  # groups interleaved in the input
+    key, x = key[shuffle], x[shuffle]
+    ids = rng.permutation(len(key)).astype(np.int64) * 3 + 1
+
+    a, b, cos = _verify_groups(ids, x, key, threshold)
+    exp = _per_group_pairs(ids, x, key, threshold)
+    got = {(int(i), int(j)): float(c) for i, j, c in zip(a, b, cos)}
+    assert len(got) == len(a) and (a < b).all()
+    assert got.keys() == exp.keys()
+    assert np.isclose(max(got.values()), 1.0)  # a duplicate pair was verified
+    big = np.flatnonzero(np.bincount(np.unique(key, return_inverse=True)[1])
+                         > _VERIFY_BLOCK)
+    assert len(big) == 1
+    for p, c in exp.items():
+        assert abs(got[p] - c) <= 1e-12
+    empty = _verify_groups(ids[:0], x[:0], key[:0], threshold)
+    assert [len(e) for e in empty] == [0, 0, 0]
+
+
+def _tagger():
+    """A row-multiplying prep: two copies of each row, keyed by (k, copy).
+    Built inside the test so it pickles by value, not by a module name the
+    Ray workers cannot import."""
+    def tagged(t: pa.Table) -> pa.Table:
+        return pa.concat_tables([
+            t.append_column("copy", pa.array(np.full(t.num_rows, c, np.int64)))
+            for c in (0, 1)])
+    return tagged
+
+
+def test_hash_exchange_prep_empty_blocks_keep_prep_schema():
+    empty = pa.table({"k": pa.array([], pa.int64())})
+    full = pa.table({"k": pa.array(np.arange(20, dtype=np.int64))})
+    for blocks in ([empty, empty], [empty, full]):
+        ds = ray.data.from_arrow_refs([ray.put(b) for b in blocks])
+        buckets = core.hash_exchange(ds, ["k", "copy"], 4, prep=_tagger())
+        slices = ray.get([r for b in buckets for r in b])
+        assert slices and all(t.schema.names == ["k", "copy"] for t in slices)
+        assert sum(t.num_rows for t in slices) == 2 * sum(b.num_rows for b in blocks)
+
+
+def test_hash_exchange_prep_refused_on_keyed_buckets():
+    ds = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3], pa.int64())}))
+    handle = core.exchange_keyed(ds, ["k"], 2)
+    assert core.hash_exchange(handle, ["k"], 2) is handle.buckets
+    with pytest.raises(ValueError, match="already split"):
+        core.hash_exchange(handle, ["k"], 2, prep=_tagger())
+
+
+def test_neardup_bucket_count_counts_every_lsh_table(monkeypatch):
+    """The (table, bucket) exchange is sized on what its split emits:
+    *num_tables* copies of the input."""
+    from ray.data import DataContext
+
+    t = _planted_corpus(n=2_000)
+    ds = ray.data.from_arrow(t).materialize()
+    seen = []
+    real = core.hash_exchange
+
+    def spy(ds, key_cols, num_buckets=None, **kw):
+        seen.append(num_buckets)
+        return real(ds, key_cols, num_buckets, **kw)
+
+    monkeypatch.setattr(core, "hash_exchange", spy)
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    try:
+        ctx.target_max_block_size = ds.size_bytes() // (2 * _session_cpus())
+        counts = {}
+        for tables in (1, 6):
+            seen.clear()
+            embedding_neardup_pairs(ds, threshold=0.97, num_tables=tables).materialize()
+            counts[tables] = seen[0]
+        assert counts[6] == core.merge_buckets((ds, 6)) > counts[1]
+        assert counts[6] >= 6 * (counts[1] - 1)
+    finally:
+        ctx.target_max_block_size = old
 
 
 def test_embedding_neardup_empty_input_schema():
