@@ -262,8 +262,8 @@ def grouped_by_bucket(
     sort-based shuffle.
 
     *prep* (``pa.Table -> pa.Table``) prepares the rows before they are
-    keyed: inside the exchange's split tasks (see :func:`hash_exchange`),
-    or as a ``map_batches`` stage in the groupby engine.
+    keyed, inside the exchange's split tasks (see :func:`hash_exchange`);
+    the groupby engine takes no *prep*.
     """
     if num_buckets is None:
         num_buckets = default_buckets()
@@ -281,7 +281,8 @@ def grouped_by_bucket(
         return _rd.from_arrow_refs(refs)
 
     if prep is not None:
-        ds = ds.map_batches(prep, batch_format="pyarrow")
+        raise ValueError("grouped_by_bucket: a prep runs in the exchange's split "
+                         "tasks; engine='groupby' cannot take one")
     ds = ds.map_batches(add_bucket_column(key_cols, num_buckets), batch_format="pyarrow")
 
     if batch_format == "pandas":

@@ -267,6 +267,13 @@ def test_hash_exchange_prep_refused_on_keyed_buckets():
         core.hash_exchange(handle, ["k"], 2, prep=_tagger())
 
 
+def test_grouped_by_bucket_groupby_engine_refuses_prep():
+    ds = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3], pa.int64())}))
+    with pytest.raises(ValueError, match="groupby"):
+        core.grouped_by_bucket(ds, ["k"], lambda t: t, 2, engine="groupby",
+                               prep=_tagger())
+
+
 def test_neardup_bucket_count_counts_every_lsh_table(monkeypatch):
     """The (table, bucket) exchange is sized on what its split emits:
     *num_tables* copies of the input."""

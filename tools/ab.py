@@ -6,7 +6,8 @@
 Each revision is exported with ``git archive`` into its own directory under
 ``--workdir`` (no worktree, no network), and for every seed both trees run
 ``perfbench/run.py --workload W --seed S --seconds T --trace X`` one after
-the other; which tree goes first alternates from seed to seed, so a slow
+the other, with ``T`` the ``run_seconds`` of ``BENCHMARK.json`` so both
+sides and the benchmark itself run for the same length; which tree goes first alternates from seed to seed, so a slow
 spell of a shared host lands on both sides. ``<change-rev>`` defaults to
 ``HEAD``; ``ab.py X X`` is the A/A control (two copies of one revision),
 whose spread is the noise floor a real effect has to clear.
@@ -15,7 +16,8 @@ Each run appends one JSON record to ``--out``: ``workload, trace, seed,
 tree, rev, attempt, exit, stderr_class, check_failed_lines, cpu_warnings,
 wall_s, seconds, result``. ``tree`` is the base revision's short hash or
 ``change``. A run that prints no result line is classified from its stderr
-(``check_failed`` for Ray's fatal ``Check failed``, ``signal``,
+(``check_failed`` for Ray's fatal ``Check failed``, ``timeout`` and
+``signal`` for the supervisor's "exceeded" and "died of signal" messages,
 ``traceback``, else ``other``) and run once more (``attempt`` 2); both
 records are kept. ``cpu_warnings`` counts Ray Data's "does not have any
 available CPUs" warning. Every run's stderr is kept under
@@ -58,10 +60,15 @@ def export(rev: str, dest: str) -> str:
     return dest
 
 
-def classify(stderr: str, exit_code: int) -> str:
+def classify(stderr: str) -> str:
+    """Why a run printed no result line, read from its stderr. The
+    supervisor exits 6 both on a timeout and on a signal death, so the exit
+    code cannot tell them apart; its messages can."""
     if "Check failed" in stderr:
         return "check_failed"
-    if exit_code == 6 or "died of signal" in stderr:
+    if "perfbench: run exceeded" in stderr:
+        return "timeout"
+    if "perfbench: run died of signal" in stderr:
         return "signal"
     if "Traceback (most recent call last)" in stderr:
         return "traceback"
@@ -88,7 +95,7 @@ def run_one(tree_dir: str, workload: str, seed: int, seconds: float, trace: int,
                 break
             result = None
     return {"exit": proc.returncode,
-            "stderr_class": None if result else classify(proc.stderr, proc.returncode),
+            "stderr_class": None if result else classify(proc.stderr),
             "check_failed_lines": proc.stderr.count("Check failed"),
             "cpu_warnings": proc.stderr.count(CPU_WARNING),
             "wall_s": round(wall, 1), "result": result}
@@ -162,11 +169,10 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--workload", action="append", dest="workloads",
                     help="repeatable; default: every BENCHMARK.json workload")
     ap.add_argument("--seeds", default="1-10", help="e.g. 20501-20510 or 1,4,9")
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--out", help="JSONL file the records are appended to")
-    ap.add_argument("--workdir", default=os.environ.get("AB_WORKDIR")
-                    or os.path.join(tempfile.gettempdir(), "pipeflow_ab"))
+    ap.add_argument("--workdir", default=os.path.join(tempfile.gettempdir(), "pipeflow_ab"),
+                    help="where the exported trees and run logs go")
     ap.add_argument("--report", metavar="FILE", help="only report FILE's records")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -186,7 +192,7 @@ def main(argv: list[str]) -> int:
     revs = {base_sha: base_sha, "change": change_sha}
     logs = os.path.join(args.workdir, "logs")
     os.makedirs(logs, exist_ok=True)
-    seconds = args.seconds or benchmark.get("run_seconds", 15)
+    seconds = benchmark["run_seconds"]
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     records = []
     with open(args.out, "a") as out:
