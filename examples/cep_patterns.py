@@ -93,7 +93,7 @@ def main():
         .map_batches(derive_nc, batch_format="pyarrow"),
         osteps, within_us=1_800_000_000, emit=oemit).to_pandas()
     o_stream, om = ParallelKleeneRunner(
-        osteps, within_us=1_800_000_000, lateness_s=3 * 3600.0, stitch=True,
+        osteps, within_us=1_800_000_000, lateness_s=3 * 3600.0,
         emit=oemit, derive=derive_nc,
         read_columns=["conv_id", "turn_idx", "text", "ts", "role"],
     ).run(tp)

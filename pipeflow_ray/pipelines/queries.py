@@ -1677,13 +1677,12 @@ def streaming_cep_kleene_open(sf_dir):
     turn-index jump proves it never will); undecided open runs compact to
     O(1)-per-key summaries that a post-gap extension merges with. Exact
     batch parity under ANY intra-run event-time gap — no seal-gap
-    contract needed (the old watermark-timeout mode remains available via
-    ``seal_gap_s``)."""
+    contract needed."""
     from pipeflow_ray.pipelines.streaming import ParallelKleeneRunner
 
     runner = ParallelKleeneRunner(
         _KLEENE_OPEN_STEPS, within_us=1_800_000_000, lateness_s=3 * 3600.0,
-        num_buckets=8, stitch=True,
+        num_buckets=8,
         derive=_derive_nc, read_columns=["conv_id", "turn_idx", "text", "ts"],
     )
     matches, _metrics = runner.run(_tp(sf_dir))
@@ -1757,7 +1756,7 @@ def streaming_cep_kleene_emit(sf_dir):
 
     runner = ParallelKleeneRunner(
         _KLEENE_OPEN_STEPS, within_us=1_800_000_000, lateness_s=3 * 3600.0,
-        num_buckets=8, stitch=True, emit=_KLEENE_EMIT,
+        num_buckets=8, emit=_KLEENE_EMIT,
         derive=_derive_nc,
         read_columns=["conv_id", "turn_idx", "text", "ts", "role"],
     )

@@ -81,11 +81,11 @@ def _n_chars(col) -> "pd.Series":
     return pd.Series(n.to_numpy(zero_copy_only=False))
 
 
-def _out_schema(key: str, ints, strings=(), types: "dict | None" = None) -> pa.Schema:
+def _out_schema(key: str, ints, strings=()) -> pa.Schema:
     """A mode's output schema: the string key, int64 columns, then string
-    columns (*types* maps a string column's name to another type)."""
+    columns."""
     return pa.schema([(key, pa.string()), *((c, pa.int64()) for c in ints),
-                      *((c, (types or {}).get(c, pa.string())) for c in strings)])
+                      *((c, pa.string()) for c in strings)])
 
 
 _SESSIONS = _out_schema("conv_id", ("start_us", "end_us", "n_turns", "n_chars"))
@@ -1433,51 +1433,37 @@ class _KleeneState(_EventTimeState):
     inside the span, and a sealed missing turn can never arrive on time
     (per-key monotonic event time). Emission: ``prev_wm ≤ end_ts < wm``.
 
-    SUFFIX-FREE patterns (n_post == 0, round-3 VERDICT #7) have no in-span
-    evidence that the run ended, so maximality seals by WATERMARK TIMEOUT:
-    a run is emitted once ``wm`` passes ``end_ts + seal_gap_us`` and no
-    arrived row extends it. This equals the batch scan whenever consecutive
-    turns within a run are ≤ ``seal_gap_us`` apart in event time (the
-    session-gap contract — a later extension would be a new episode; an
-    extension arriving past the gap diverges from batch by design,
-    documented in COVERAGE.md).
-
-    STITCH mode (``stitch=True``, round-4 VERDICT #8) removes that one
-    divergence: suffix-free runs seal on OBSERVED EVIDENCE instead of a
-    timeout — a run is maximal once its successor turn is either observed
-    to be non-B (``turn_idx == end+1`` arrived, immediately decisive), or
-    provably absent (a SEALED row at ``turn_idx > end+1`` exists: per-key
-    event time is monotone in turn order, so once the watermark passes
-    that row's ts the missing turn can never arrive on time). Undecided
-    open runs are COMPACTED: their sealed rows collapse into an O(1)
-    per-key summary ``(pre_valid, start_ti, start_ts, end_ti, end_ts,
-    blen)`` — a post-gap extension chains onto ``end_ti + 1`` and merges
-    with the summary, so the emitted match equals batch under ANY
+    SUFFIX-FREE patterns (n_post == 0) have no in-span evidence that the
+    run ended, so they seal on OBSERVED EVIDENCE by STITCHING (round-4
+    VERDICT #8): a run is maximal once its successor turn is either
+    observed to be non-B (``turn_idx == end+1`` arrived, immediately
+    decisive), or provably absent (a SEALED row at ``turn_idx > end+1``
+    exists: per-key event time is monotone in turn order, so once the
+    watermark passes that row's ts the missing turn can never arrive on
+    time). Undecided open runs are COMPACTED: their sealed rows collapse
+    into an O(1) per-key summary ``(pre_valid, start_ti, start_ts, end_ti,
+    end_ts, blen)`` — a post-gap extension chains onto ``end_ti + 1`` and
+    merges with the summary, so the emitted match equals batch under ANY
     intra-run event-time gap, with bounded state. Emission additionally
     waits for the run's start to seal (``ts[start] < wm``) so prefix-step
-    validity is final when judged. No ``seal_gap_us`` is needed.
+    validity is final when judged.
 
     Prefix steps are optional (n_pre ≥ 0): start maximality only depends on
     rows at event times ≤ the run start, which are sealed-or-late once the
     emission rule fires.
 
-    Retention: per key, everything after (and n_pre rows up to) the last
-    sealed *breaker* row, which no future run can cross: a sealed non-B
-    row, or a sealed B row whose chain to its next turn is cut. With a
-    fixed suffix a cut needs the stitch mode's evidence — the key's next
-    row present and sealed, so the missing turn can never arrive on time —
-    and a B row whose next turn has not arrived keeps its run. In
-    suffix-free timeout mode any missing next turn is a cut and "sealed"
-    means past the seal gap, so an emitted run's rows never linger. A
-    checkpoint resume, which resets prev_wm, can never see enough retained
-    context to re-emit: the prefix rows of an emitted match are always
-    dropped (with a fixed suffix, its first suffix row is a sealed non-B
-    breaker)."""
+    Retention (fixed suffix): per key, everything after (and n_pre rows up
+    to) the last sealed *breaker* row, which no future run can cross: a
+    sealed non-B row, or a sealed B row whose chain to its next turn is
+    cut. A cut needs the stitching evidence — the key's next row present
+    and sealed, so the missing turn can never arrive on time — and a B row
+    whose next turn has not arrived keeps its run. A checkpoint resume,
+    which resets prev_wm, can never see enough retained context to
+    re-emit: the prefix rows of an emitted match are always dropped (its
+    first suffix row is a sealed non-B breaker)."""
 
     def __init__(self, n_pre: int, n_post: int, within_us: int | None,
-                 key: str = "conv_id", order: str = "turn_idx",
-                 seal_gap_us: int | None = None, stitch: bool = False,
-                 emit=()):
+                 key: str = "conv_id", order: str = "turn_idx", emit=()):
         from pipeflow_ray.stages.cep import check_kleene_emit, empty_kleene
 
         if n_pre < 0 or n_post < 0:
@@ -1487,12 +1473,10 @@ class _KleeneState(_EventTimeState):
         self.n_pre = n_pre
         self.n_post = n_post
         self.within_us = within_us
-        self.seal_gap_us = seal_gap_us
-        self.stitch = stitch
         self.key = key
         self.order = order
         self.prev_wm = _NO_MARK
-        # stitch mode: per-key compacted open-run tail summaries
+        # suffix-free: per-key compacted open-run tail summaries
         # key → (pre_valid, start_ti, start_ts, end_ti, end_ts, blen,
         # emit_vals); start is PREFIX-INCLUSIVE (batch emits ti/ts of the
         # first prefix row — see scan_kleene's i0); emit_vals aligns with
@@ -1501,15 +1485,16 @@ class _KleeneState(_EventTimeState):
         self.summaries: dict = {}
 
     def evict(self, watermark_us: int, final: bool = False) -> None:
-        if self.stitch:
-            self._evict_stitch(watermark_us, final)
+        if self.n_post:
+            self._evict_suffix(watermark_us)
         else:
-            self._evict_timeout(watermark_us)
+            self._evict_stitch(watermark_us, final)
         if final:  # end of stream: every run was decided
             self.carry = pd.DataFrame()
             self.summaries = {}
 
-    def _evict_timeout(self, watermark_us: int) -> None:
+    def _evict_suffix(self, watermark_us: int) -> None:
+        """Fixed-suffix scan: a match is decided when its suffix row seals."""
         from pipeflow_ray.stages.cep import scan_kleene
 
         df = self._take_rows()
@@ -1520,13 +1505,8 @@ class _KleeneState(_EventTimeState):
                               key=self.key, order=self.order, assume_sorted=True,
                               emit=self.emit)
         end_ts = matches.end_ts_us.to_numpy()
-        if self.n_post >= 1:
-            # the suffix row IS the end row: its sealing decides the match
-            newly = matches[(end_ts < watermark_us) & (end_ts >= self.prev_wm)]
-        else:
-            # timeout sealing: maximal once the watermark passes the gap
-            seal = end_ts + self.seal_gap_us
-            newly = matches[(seal < watermark_us) & (seal >= self.prev_wm)]
+        # the suffix row IS the end row: its sealing decides the match
+        newly = matches[(end_ts < watermark_us) & (end_ts >= self.prev_wm)]
         if len(newly):
             self.buf.append(newly)
         # retention: rows after the last sealed breaker per key (plus n_pre
@@ -1537,10 +1517,7 @@ class _KleeneState(_EventTimeState):
         ts = df["ts_us"].to_numpy(np.int64)
         bits = df["__bits"].to_numpy(np.uint32)
         b = (bits & np.uint32(1 << self.n_pre)) != 0
-        if self.n_post >= 1:
-            sealed = ts < watermark_us
-        else:
-            sealed = ts + self.seal_gap_us < watermark_us
+        sealed = ts < watermark_us
         chained_next = np.zeros(n, dtype=bool)
         next_sealed = np.zeros(n, dtype=bool)  # the key's next row is here, sealed
         if n > 1:
@@ -1548,10 +1525,10 @@ class _KleeneState(_EventTimeState):
             chained_next[:-1] = same & (ti[1:] == ti[:-1] + 1)
             next_sealed[:-1] = same & sealed[1:]
         # a sealed B row breaks runs once its chain to the next turn is cut.
-        # With a fixed suffix only a present, sealed next row proves that
-        # (the stitch mode's evidence rule): a missing next turn may still
-        # arrive on time and extend the run.
-        cut = ~chained_next & (next_sealed if self.n_post >= 1 else True)
+        # Only a present, sealed next row proves that (the stitching
+        # evidence rule): a missing next turn may still arrive on time and
+        # extend the run.
+        cut = ~chained_next & next_sealed
         breaker = sealed & (~b | cut)
         nk = int(conv.max()) + 1 if n else 0
         z = np.full(nk, -1, dtype=np.int64)
@@ -1564,7 +1541,7 @@ class _KleeneState(_EventTimeState):
 
     def _evict_stitch(self, watermark_us: int, final: bool) -> None:
         """Evidence-sealed suffix-free scan with O(1)-per-key open-run
-        compaction (class docstring, STITCH mode). Emission is exactly-once
+        compaction (class docstring, SUFFIX-FREE). Emission is exactly-once
         because a decided run's B rows (and an absorbed summary) leave the
         state in the same evict that emits it — nothing re-derives."""
         npre = self.n_pre
@@ -1753,7 +1730,7 @@ class _KleeneState(_EventTimeState):
     # match can exist entirely inside the retained sealed context (a sealed
     # non-B post row after a retained run would itself be a breaker,
     # contradicting the breaker retention rule), so resume with −inf cannot
-    # re-emit. In stitch mode the same holds by construction: emission and
+    # re-emit. Suffix-free, the same holds by construction: emission and
     # state removal are atomic within one evict, and summaries persist in
     # the snapshot. ---
 
@@ -1761,9 +1738,9 @@ class _KleeneState(_EventTimeState):
 
     def dump_state(self) -> pd.DataFrame:
         base = self._tail_rows()
-        if not self.stitch:
+        if self.n_post:
             return base
-        # stitch mode: summaries ride in the same frame as marker rows so
+        # suffix-free: summaries ride in the same frame as marker rows so
         # the checkpoint mixin's key-hash re-routing lands them on the right
         # bucket; all payload columns are int64 (parquet-roundtrip stable)
         base = base.assign(__summary=np.int64(0),
@@ -1788,7 +1765,7 @@ class _KleeneState(_EventTimeState):
         return pd.concat([base, srows], ignore_index=True)
 
     def load_state(self, df: pd.DataFrame) -> None:
-        if self.stitch and "__summary" in df.columns:
+        if not self.n_post and "__summary" in df.columns:
             sm = df["__summary"].to_numpy(np.int64) == 1
             srows = df[sm]
             ecols = [f"__s_e{i}" for i in range(len(self.emit))]
@@ -1816,12 +1793,10 @@ class ParallelKleeneRunner(_ParallelReplayBase):
     """Parallel-replay Kleene-plus CEP (reuses the ``cep`` replay mode; the
     flattened steps travel as the bitmask). Equals the batch
     :func:`match_kleene` scan under covered disorder (tested). Patterns may
-    be prefix-free and/or suffix-free; suffix-free patterns seal maximal
-    runs either by watermark timeout (``seal_gap_s`` — round-3 VERDICT #7;
-    equality to batch additionally requires intra-run consecutive-turn
-    event-time gaps ≤ seal_gap_s) or by observed evidence with bounded
-    run-summary stitching (``stitch=True`` — round-4 VERDICT #8; exact
-    batch parity under ANY gap). See :class:`_KleeneState`."""
+    be prefix-free and/or suffix-free; a fixed suffix seals a match by its
+    suffix row, and a suffix-free pattern seals maximal runs by observed
+    evidence with bounded run-summary stitching (exact batch parity under
+    ANY intra-run gap). See :class:`_KleeneState`."""
 
     mode = "cep"
     _count = "matches"
@@ -1831,9 +1806,7 @@ class ParallelKleeneRunner(_ParallelReplayBase):
                  max_replayers: int = 16, epoch_batches: int = 64,
                  key: str = "conv_id", order: str = "turn_idx",
                  ts_col: str = "ts", derive=None,
-                 read_columns: "list[str] | None" = None,
-                 seal_gap_s: float | None = None, stitch: bool = False,
-                 emit=()):
+                 read_columns: "list[str] | None" = None, emit=()):
         from pipeflow_ray.stages.cep import (
             KLEENE_COLS,
             MAX_STEPS,
@@ -1852,23 +1825,8 @@ class ParallelKleeneRunner(_ParallelReplayBase):
                 f"(got {len(steps)})")
         self.n_pre = plus_idx[0]
         self.n_post = len(steps) - self.n_pre - 1
-        # the bucket states' sealing modes, checked here: inside a bucket
-        # actor the error would surface only at run time, as ActorDiedError
-        if stitch and self.n_post >= 1:
-            raise ValueError(
-                "stitch mode is for suffix-free patterns; a fixed suffix "
-                "already seals maximality exactly"
-            )
-        if self.n_post < 1 and seal_gap_s is None and not stitch:
-            raise ValueError(
-                "suffix-free streaming Kleene needs seal_gap_s "
-                "(watermark-timeout sealing of maximal runs) or stitch=True "
-                "(evidence-based sealing with run summaries)"
-            )
         self.steps = [s[1] if i == self.n_pre else s for i, s in enumerate(steps)]
         self.within_us = within_us
-        self.seal_gap_us = None if seal_gap_s is None else int(seal_gap_s * US)
-        self.stitch = stitch
         self.emit = check_kleene_emit(emit, self.n_pre, self.n_post)
         self.key = key
         self.order = order
@@ -1889,26 +1847,17 @@ class ParallelKleeneRunner(_ParallelReplayBase):
 
     def _bucket_state(self) -> tuple:
         return (_KleeneState, self.n_pre, self.n_post, self.within_us, self.key,
-                self.order, self.seal_gap_us, self.stitch, self.emit)
+                self.order, self.emit)
 
 
 class ParallelCheckpointingCepRunner(_ParallelCheckpointMixin, ParallelCepRunner):
     """Streaming CEP with epoch-aligned checkpoints and exactly-once
     committed match output. State snapshot = the partial-match row tails (at
     most k−1 sealed rows + unsealed rows per key), re-routed to bucket
-    actors on resume by the same key hash.
-
-    Emit columns default to ``pa.string()`` in the committed schema; pass
-    ``emit_types={name: pa.DataType}`` for non-string emissions."""
+    actors on resume by the same key hash. Emit columns are ``pa.string()``
+    in the committed schema."""
 
     _kind = "cep-checkpoint"
-
-    def __init__(self, *args, emit_types: dict | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        # the plain schema (key, four int64 match columns, emit columns)
-        # with the emit columns retyped
-        self._schema = _out_schema(self.key, self._schema.names[1:5],
-                                   self._schema.names[5:], emit_types)
 
 
 class ParallelCheckpointingAbsenceRunner(_ParallelCheckpointMixin, ParallelAbsenceRunner):

@@ -145,16 +145,13 @@ def merge_buckets(*datasets) -> int:
     return max(1, 2 * _session_cpus(), by_bytes)
 
 
-def add_bucket_column(key_cols: list[str], num_buckets: int = DEFAULT_BUCKETS, out: str = "__bucket"):
-    """Append ``hash(key) % num_buckets`` — the co-location key for
-    bucket-level grouped ops."""
-
-    def _apply(t: pa.Table) -> pa.Table:
-        df = t.select(key_cols).to_pandas()
-        h = pd.util.hash_pandas_object(df, index=False).to_numpy()
-        return t.append_column(out, pa.array((h % num_buckets).astype(np.int64), pa.int64()))
-
-    return _apply
+def bucket_ids(t: pa.Table, key_cols: list[str], num_buckets: int) -> np.ndarray:
+    """The bucket of each row of *t*: ``hash(key) % num_buckets`` over the
+    VALUES of *key_cols* (``pd.util.hash_pandas_object``, names ignored).
+    The one key→bucket rule: the exchange's split tasks route by it, and the
+    exactly-once sink's partition ids are these bucket ids."""
+    df = t.select(key_cols).to_pandas()
+    return pd.util.hash_pandas_object(df, index=False).to_numpy() % num_buckets
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +203,7 @@ def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
         nonempty, promote_options="default")
     if prep is not None:
         tbl = prep(tbl)
-    df = tbl.select(key_cols).to_pandas()
-    b = pd.util.hash_pandas_object(df, index=False).to_numpy() % num_buckets
+    b = bucket_ids(tbl, key_cols, num_buckets)
     idx = (b // fanout) if level == 0 else (b % fanout)
     order = np.argsort(idx, kind="stable")
     t = tbl.take(pa.array(order))
@@ -241,7 +237,6 @@ def grouped_by_bucket(
     fn,
     num_buckets: int | None = None,
     batch_format: str = "pandas",
-    engine: str = "exchange",
     prep=None,
 ):
     """Keyed grouped processing WITHOUT per-key Python overhead.
@@ -253,49 +248,27 @@ def grouped_by_bucket(
     multiple keys — sort by key, segment by boundaries), and in exchange runs
     ~B times total. B = :func:`default_buckets` unless overridden.
 
-    engine="exchange" (default) routes the all-to-all through
-    :func:`hash_exchange` (raw-Ray map-side split — no sort barrier; measured
-    ~2-4× faster and scales with workers). The upstream plan executes at this
-    point (a shuffle is a stage barrier); the result is a new lazy Dataset
-    over the reduce outputs. engine="groupby" keeps everything inside one
-    lazy Ray Data plan (``groupby(bucket).map_groups``) at the cost of the
-    sort-based shuffle.
+    The all-to-all is :func:`hash_exchange` (raw-Ray map-side split — no
+    sort barrier). The upstream plan executes at this point (a shuffle is a
+    stage barrier); the result is a new lazy Dataset over the reduce
+    outputs, with empty buckets left out.
 
     *prep* (``pa.Table -> pa.Table``) prepares the rows before they are
-    keyed, inside the exchange's split tasks (see :func:`hash_exchange`);
-    the groupby engine takes no *prep*.
+    keyed, inside the exchange's split tasks (see :func:`hash_exchange`).
     """
+    import ray.data as _rd
+
     if num_buckets is None:
         num_buckets = default_buckets()
-    if engine == "exchange":
-        import ray.data as _rd
-
-        buckets = hash_exchange(ds, key_cols, num_buckets, prep=prep)
-        as_pandas = batch_format == "pandas"
-        fn_ref = ray.put(fn)  # ship the UDF once, not once per reduce task
-        outs = [_reduce_task.remote(fn_ref, as_pandas, *b) for b in buckets]
-        counts = ray.get([_nrows_task.remote(o) for o in outs])  # refs only; no driver materialization
-        refs = [o for o, n in zip(outs, counts) if n > 0]
-        if not refs:
-            return _rd.from_items([])
-        return _rd.from_arrow_refs(refs)
-
-    if prep is not None:
-        raise ValueError("grouped_by_bucket: a prep runs in the exchange's split "
-                         "tasks; engine='groupby' cannot take one")
-    ds = ds.map_batches(add_bucket_column(key_cols, num_buckets), batch_format="pyarrow")
-
-    if batch_format == "pandas":
-
-        def _wrap(g):
-            return fn(g.drop(columns=["__bucket"]))
-
-    else:
-
-        def _wrap(g):
-            return fn(g.drop_columns(["__bucket"]))
-
-    return ds.groupby("__bucket").map_groups(_wrap, batch_format=batch_format)
+    buckets = hash_exchange(ds, key_cols, num_buckets, prep=prep)
+    as_pandas = batch_format == "pandas"
+    fn_ref = ray.put(fn)  # ship the UDF once, not once per reduce task
+    outs = [_reduce_task.remote(fn_ref, as_pandas, *b) for b in buckets]
+    counts = ray.get([_nrows_task.remote(o) for o in outs])  # refs only; no driver materialization
+    refs = [o for o, n in zip(outs, counts) if n > 0]
+    if not refs:
+        return _rd.from_items([])
+    return _rd.from_arrow_refs(refs)
 
 
 MAX_FLAT_BUCKETS = 4096  # beyond this, slice-object count (tasks × buckets)

@@ -244,15 +244,12 @@ def hash_join(
     how: str = "inner",
     num_partitions: int | None = None,
     suffix: str = "_r",
-    engine: str = "exchange",
     chunk_rows: int = JOIN_CHUNK_ROWS,
 ) -> ray.data.Dataset:
-    """Large-large equi-join, hash-partitioned on the key.
-
-    engine="exchange" (default): both sides through ONE
-    :func:`~pipeflow_ray.stages.core.hash_exchange` each (map-side split, no
-    sort barrier), then a vectorized per-bucket pandas merge with a stable
-    output schema. engine="ray" delegates to the built-in ``Dataset.join``.
+    """Large-large equi-join, hash-partitioned on the key: both sides
+    through ONE :func:`~pipeflow_ray.stages.core.hash_exchange` each
+    (map-side split, no sort barrier), then a vectorized per-bucket pandas
+    merge with a stable output schema.
 
     Edge case: a ZERO-BLOCK side (an upstream dataset with no blocks at all,
     e.g. ``from_items([])``) carries no schema anywhere, so outer-ish joins
@@ -266,12 +263,6 @@ def hash_join(
         # same bucket discipline as every other exchange (≥64, 2× cores) —
         # more buckets = smaller per-bucket pandas frames (round-2 VERDICT #6)
         num_partitions = default_buckets()
-    if engine == "ray":
-        if hasattr(left, "join"):
-            return left.join(right, join_type=how, num_partitions=num_partitions,
-                             on=tuple(on_cols))
-        raise NotImplementedError("ray.data.Dataset.join unavailable in this Ray version")
-
     lb = hash_exchange(left, on_cols, num_partitions)
     rb = hash_exchange(right, on_cols, num_partitions)
     outs = [

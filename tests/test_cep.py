@@ -116,9 +116,9 @@ def test_kleene_step_bound_is_eager():
     with pytest.raises(ValueError, match="single-word"):
         match_many(None, {"long": {"steps": steps}})
     with pytest.raises(ValueError, match="at most 32 steps"):
-        ParallelKleeneRunner(steps, stitch=True)
+        ParallelKleeneRunner(steps)
     with pytest.raises(ValueError, match="at most 32 steps"):
-        ParallelCheckpointingKleeneRunner(steps, stitch=True)
+        ParallelCheckpointingKleeneRunner(steps)
     ParallelKleeneRunner(steps[:MAX_STEPS])  # 32 steps (fixed suffix): at the bound
 
 
@@ -458,18 +458,6 @@ def test_parallel_kleene_equals_batch(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "seal",
-    [
-        # watermark-timeout sealing (r3 VERDICT #7): seal_gap above the
-        # fixture's largest intra-conversation turn gap
-        dict(seal_gap_s=4 * 3600.0),
-        # evidence sealing + run-summary stitching (r4 VERDICT #8): exact
-        # under any gap, no seal-gap contract
-        dict(stitch=True),
-    ],
-    ids=["timeout", "stitch"],
-)
-@pytest.mark.parametrize(
     "steps",
     [
         # suffix-free: maximality has no in-span evidence
@@ -479,11 +467,10 @@ def test_parallel_kleene_equals_batch(tmp_path):
     ],
     ids=["suffix-free", "bare-run"],
 )
-def test_parallel_kleene_suffix_free_equals_batch(tmp_path, steps, seal):
-    """Suffix-free streaming Kleene must equal the batch maximal-run scan
-    across interleaved shards, in both sealing modes (timeout needs the
-    seal gap above the fixture's largest intra-conversation turn gap;
-    stitch is exact unconditionally)."""
+def test_parallel_kleene_suffix_free_equals_batch(tmp_path, steps):
+    """Suffix-free streaming Kleene (evidence sealing + run-summary
+    stitching, r4 VERDICT #8) must equal the batch maximal-run scan across
+    interleaved shards."""
     import os
 
     import pyarrow as pa
@@ -510,7 +497,7 @@ def test_parallel_kleene_suffix_free_equals_batch(tmp_path, steps, seal):
     got, metrics = ParallelKleeneRunner(
         steps, within_us=1_800_000_000, lateness_s=6 * 3600.0, num_buckets=4,
         epoch_batches=2, derive=_derive,
-        read_columns=["conv_id", "turn_idx", "text", "ts"], **seal,
+        read_columns=["conv_id", "turn_idx", "text", "ts"],
     ).run(shard_dir, micro_batch_rows=256)
     assert metrics["rows"] == t.num_rows
     key = ["conv_id", "start_turn_idx"]
@@ -561,22 +548,11 @@ def test_fixed_suffix_kleene_keeps_a_run_whose_next_turn_is_pending(tmp_path, ep
     pd.testing.assert_frame_equal(got.reset_index(drop=True), ref.astype(got.dtypes.to_dict()))
 
 
-def test_suffix_free_streaming_kleene_requires_seal_gap():
-    from pipeflow_ray.pipelines.streaming import ParallelKleeneRunner
-
-    import pytest as _pt
-    with _pt.raises(ValueError, match="seal_gap"):
-        ParallelKleeneRunner([{"nc": (">=", 1)}, ("+", {"nc": ("<", 3)})])
-    with _pt.raises(ValueError, match="stitch mode is for suffix-free"):
-        ParallelKleeneRunner([{"nc": (">=", 1)}, ("+", {"nc": ("<", 3)}),
-                              {"nc": (">=", 3)}], stitch=True)
-
-
 def test_kleene_emit_batch_many_streaming(tmp_path):
     """Kleene emit columns (round 5): span-start (offset 0 = prefix row)
     and span-end (offset -1 = run's last row) values must agree between
-    the raw table, batch match_kleene, a match_many Kleene entry, and
-    both streaming sealing modes."""
+    the raw table, batch match_kleene, a match_many Kleene entry, and the
+    streaming runner."""
     import os
 
     import pyarrow as pa
@@ -619,15 +595,14 @@ def test_kleene_emit_batch_many_streaming(tmp_path):
             .drop(columns=["pattern"]).sort_values(key).reset_index(drop=True))
     pd.testing.assert_frame_equal(many[ref.columns], ref)
 
-    for seal in (dict(seal_gap_s=4 * 3600.0), dict(stitch=True)):
-        got, _m = ParallelKleeneRunner(
-            steps, within_us=1_800_000_000, lateness_s=6 * 3600.0,
-            num_buckets=4, epoch_batches=2, derive=_derive, emit=emit,
-            read_columns=["conv_id", "turn_idx", "text", "ts", "role"], **seal,
-        ).run(shard_dir, micro_batch_rows=256)
-        got = got.sort_values(key).reset_index(drop=True)
-        pd.testing.assert_frame_equal(
-            got[ref.columns], ref.astype(got[ref.columns].dtypes.to_dict()))
+    got, _m = ParallelKleeneRunner(
+        steps, within_us=1_800_000_000, lateness_s=6 * 3600.0,
+        num_buckets=4, epoch_batches=2, derive=_derive, emit=emit,
+        read_columns=["conv_id", "turn_idx", "text", "ts", "role"],
+    ).run(shard_dir, micro_batch_rows=256)
+    got = got.sort_values(key).reset_index(drop=True)
+    pd.testing.assert_frame_equal(
+        got[ref.columns], ref.astype(got[ref.columns].dtypes.to_dict()))
 
     # offsets addressing the variable run interior are rejected eagerly
     import pytest as _pt
@@ -637,8 +612,7 @@ def test_kleene_emit_batch_many_streaming(tmp_path):
 
 def test_kleene_stitch_bridges_seal_gap(tmp_path):
     """The r4 VERDICT #8 scenario: an intra-run event-time gap far beyond
-    any seal gap. Timeout sealing emits the truncated pre-gap run (the
-    documented divergence); stitch mode merges the post-gap extension with
+    any seal gap. Suffix-free sealing merges the post-gap extension with
     the compacted run summary and equals the batch scan exactly."""
     import os
 
@@ -689,18 +663,13 @@ def test_kleene_stitch_bridges_seal_gap(tmp_path):
            .to_pandas().sort_values(key).reset_index(drop=True))
     assert len(ref) == 1 and int(ref.run_len[0]) == 5  # one run spanning the gap
 
-    st, _ = ParallelKleeneRunner(steps, stitch=True, **kw).run(
+    st, _ = ParallelKleeneRunner(steps, **kw).run(
         shard_dir, micro_batch_rows=2)
     st = st.sort_values(key).reset_index(drop=True)
     pd.testing.assert_frame_equal(st, ref.astype(st.dtypes.to_dict()))
     # span-start emit survived summary compaction across the 10h gap; the
     # span-end emit tracked the post-gap extension's last row
     assert st.start_role[0] == "user" and st.end_role[0] == "assistant"
-
-    to, _ = ParallelKleeneRunner(steps, seal_gap_s=3600.0, **kw).run(
-        shard_dir, micro_batch_rows=2)
-    # timeout mode truncates at the gap — the divergence stitch closes
-    assert int(to.run_len.max()) < 5
 
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
@@ -740,7 +709,7 @@ def test_kleene_stitch_arrival_order_fuzz(tmp_path, seed):
     steps = [{"nc": (">=", 1000)}, ("+", {"nc": ("<", 300)})]
     got, metrics = ParallelKleeneRunner(
         steps, within_us=1_800_000_000, lateness_s=2 * 3600.0, num_buckets=3,
-        epoch_batches=1, stitch=True, derive=_derive,
+        epoch_batches=1, derive=_derive,
         read_columns=["conv_id", "turn_idx", "text", "ts"],
     ).run(shard_dir, micro_batch_rows=128)
     assert metrics["late_rows"] == 0  # jitter ≤ 1h < 2h lateness: covered
@@ -800,8 +769,7 @@ def test_parallel_checkpoint_absence_kleene_crash_resume(tmp_path, which):
             # checkpoint snapshot and key-hash re-routing on resume, and the
             # committed partitions must carry the emit columns
             steps = [{"nc": (">=", 1000)}, ("+", {"nc": ("<", 300)})]
-            extra = dict(stitch=True,
-                         emit=((0, "role", "start_role"), (-1, "role", "end_role")))
+            extra = dict(emit=((0, "role", "start_role"), (-1, "role", "end_role")))
         else:
             steps = [{"nc": (">=", 1000)}, ("+", {"nc": ("<", 300)}), {"nc": (">=", 1000)}]
             extra = {}

@@ -112,6 +112,37 @@ def test_manifest_contents(tmp_path):
     assert pq.read_metadata(f).num_rows == m["rows"]
 
 
+def test_empty_inputs_commit_no_rows(tmp_path):
+    """A zero-row input commits every partition as a zero-row file; an input
+    with no blocks has no schema and commits nothing. Both return the stats
+    columns and read back as 0 rows."""
+    cols = ["partition_id", "rows", "bytes", "skipped", "wall_s"]
+
+    out = str(tmp_path / "zero_rows")
+    stats = write_exactly_once(ray.data.from_arrow(_input(0)), out, num_partitions=8)
+    assert list(stats.columns) == cols
+    assert stats.partition_id.tolist() == list(range(8)) and stats.rows.sum() == 0
+    assert read_committed(out).num_rows == 0
+
+    out = str(tmp_path / "no_blocks")
+    stats = write_exactly_once(ray.data.from_items([]), out, num_partitions=8)
+    assert list(stats.columns) == cols and stats.rows.sum() == 0
+    assert read_committed(out).num_rows == 0
+
+
+def test_sparse_input_commits_every_partition(tmp_path):
+    """Two keys into 8 partitions: the two buckets that hold them commit
+    their rows, and the six empty buckets commit zero-row partitions, so a
+    finished write leaves pids 0..7."""
+    out = str(tmp_path / "out")
+    t = _input(40).filter(pa.array([i % 37 < 2 for i in range(40)]))
+    stats = write_exactly_once(ray.data.from_arrow(t), out, num_partitions=8)
+    assert stats.partition_id.tolist() == list(range(8))
+    assert (stats.rows > 0).sum() == 2 and stats.rows.sum() == t.num_rows
+    assert sorted(completed_partitions(out)) == list(range(8))
+    assert read_committed(out).num_rows == t.num_rows
+
+
 def test_exactly_once_under_ray_task_retry(tmp_path):
     """Inject a real task failure: first attempt writes a partial data file
     then crashes BEFORE the manifest commit; Ray's automatic retry must

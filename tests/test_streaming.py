@@ -1437,3 +1437,22 @@ def test_bucket_actor_process_only_appends():
               if any(ast.unparse(b) == "_EventTimeState" for b in c.bases)]
     assert len(states) == 6
     assert not [c.name for c in states if "process" in methods(c)]
+
+
+def test_session_process_leaves_a_large_carry_untouched():
+    """``process`` on a session state holding 100k open conversations
+    neither rebuilds nor copies the carried frame: the carry stays the same
+    object with the same rows, and the routed frame is only appended."""
+    n = 100_000
+    st = _SessionState(1800.0)
+    st.load_state(pd.DataFrame({
+        "conv_id": np.array([f"c{i}" for i in range(n)], dtype=object),
+        "start_us": np.arange(n, dtype=np.int64), "end_us": np.arange(n, dtype=np.int64),
+        "n_turns": np.ones(n, np.int64), "n_chars": np.ones(n, np.int64),
+    }))
+    carry, snapshot = st.carry, st.carry.copy()
+    part = snapshot.head(3).assign(conv_id=["x0", "x1", "x2"])
+    st.process(part)
+    assert st.carry is carry
+    pd.testing.assert_frame_equal(st.carry, snapshot)
+    assert len(st.parts) == 1 and st.parts[0] is part
