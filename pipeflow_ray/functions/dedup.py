@@ -235,29 +235,20 @@ def _raw_candidates_from_sigs(
 # ---------------------------------------------------------------------------
 
 
-@ray.remote
-def _attach_merge_task(n_pair_slices: int, pair_key: str, side_key: str,
-                       attach_cols: list[str], suffix: str, dedup_on, *slices):
+def _attach_merge(pt, st, *, pair_key: str, side_key: str,
+                  attach_cols: list[str], suffix: str, dedup_on):
     """Per-bucket merge attaching ``attach_cols`` (renamed ``<col><suffix>``)
-    of the side table to the pairs on ``pair_key == side_key``. Module-level
-    remote task (see stages/core.py on closure re-export hazards).
+    of the side table to the pairs on ``pair_key == side_key``.
     *dedup_on*: optional column list — drop duplicate pair rows per bucket
     BEFORE the merge (complete when the bucket key is one of the columns:
     all copies of a pair share its bucket), so banding duplicates never get
     payload columns attached."""
-    p_slices, s_slices = slices[:n_pair_slices], slices[n_pair_slices:]
-    ps = [t for t in p_slices if t.num_rows]
-    if not ps or not s_slices:  # inner join: nothing to attach from an
-        return None             # empty (zero-block) side
-    ss = [t for t in s_slices if t.num_rows]
-    pdf = pa.concat_tables(ps, promote_options="default").to_pandas()
+    if pt is None or not pt.num_rows or st is None:  # inner join: nothing to
+        return None                                  # attach from a zero-block side
+    pdf = pt.to_pandas()
     if dedup_on is not None:
         pdf = pdf.drop_duplicates(dedup_on)
-    if ss:
-        sdf = pa.concat_tables(ss, promote_options="default").to_pandas()
-    else:
-        sdf = max(s_slices, key=lambda t: t.num_columns).to_pandas()
-    sdf = sdf[[side_key, *attach_cols]].rename(
+    sdf = st.to_pandas()[[side_key, *attach_cols]].rename(
         columns={side_key: pair_key, **{c: f"{c}{suffix}" for c in attach_cols}}
     )
     out = pdf.merge(sdf, on=pair_key, how="inner")
@@ -281,18 +272,13 @@ def attach_by_id(
     already-exchanged :class:`~pipeflow_ray.stages.core.KeyedBuckets`
     (same-key reuse: the side's exchange is skipped; bucket counts must
     match)."""
-    from pipeflow_ray.stages.core import _nrows_task, hash_exchange
+    from pipeflow_ray.stages.core import hash_exchange, reduce_buckets
 
-    pb = hash_exchange(pairs, [pair_key], num_buckets)
-    sb = hash_exchange(side, [side_key], num_buckets)
-    outs = [
-        _attach_merge_task.remote(
-            len(p), pair_key, side_key, attach_cols, suffix, dedup_on, *p, *s)
-        for p, s in zip(pb, sb)
-    ]
-    counts = ray.get([_nrows_task.remote(o) for o in outs])
-    refs = [o for o, n in zip(outs, counts) if n > 0]
-    return ray.data.from_arrow_refs(refs) if refs else ray.data.from_items([])
+    merge = _functools.partial(_attach_merge, pair_key=pair_key, side_key=side_key,
+                               attach_cols=attach_cols, suffix=suffix,
+                               dedup_on=dedup_on)
+    return reduce_buckets(merge, hash_exchange(pairs, [pair_key], num_buckets),
+                          hash_exchange(side, [side_key], num_buckets))
 
 
 @_functools.lru_cache(maxsize=8)

@@ -366,16 +366,11 @@ def _query_cell_prep(t: pa.Table, *, cref, nprobe: int, vec_col: str,
     })
 
 
-@ray.remote
-def _cell_topk_task(k: int, exclude_self: bool, n_corpus: int, *slices):
+def _cell_topk(ct, qt, *, k: int, exclude_self: bool):
     """One bucket: matmul every cell's queries against its corpus vectors,
     emit each query's LOCAL top-k (≤ probes(bucket) × k rows)."""
-    corpus = [t for t in slices[:n_corpus] if t.num_rows]
-    queries = [t for t in slices[n_corpus:] if t.num_rows]
-    if not corpus or not queries:
+    if ct is None or qt is None or not ct.num_rows or not qt.num_rows:
         return None
-    ct = pa.concat_tables(corpus, promote_options="default")
-    qt = pa.concat_tables(queries, promote_options="default")
     c_cell = ct["__cell"].to_numpy(zero_copy_only=False)
     q_cell = qt["__cell"].to_numpy(zero_copy_only=False)
     V = _list_matrix(ct["__vec"], "__vec")
@@ -443,9 +438,8 @@ def corpus_topk(
     are each read once: both are materialized, centroid training samples the
     corpus copy, and the cell assignments run as the exchanges' split-task
     preps, so no prepared copy of either side is kept."""
-    import ray.data as _rd
-
-    from pipeflow_ray.stages.core import grouped_by_bucket, hash_exchange, merge_buckets
+    from pipeflow_ray.stages.core import (grouped_by_bucket, hash_exchange, merge_buckets,
+                                          reduce_buckets)
 
     query_vec_col = query_vec_col or vec_col
     query_id_col = query_id_col or id_col
@@ -463,16 +457,10 @@ def corpus_topk(
     q_buckets = hash_exchange(queries, ["__cell"], nb, prep=_functools.partial(
         _query_cell_prep, cref=cref, nprobe=nprobe, vec_col=query_vec_col,
         id_col=query_id_col))
-    parts = []
-    for cb, qb in zip(c_buckets, q_buckets):
-        if not cb or not qb:
-            continue
-        parts.append(_cell_topk_task.remote(k, exclude_self, len(cb), *cb, *qb))
-    parts = [p for p, n in zip(parts, ray.get(
-        [_nrows.remote(p) for p in parts])) if n]
-    if not parts:
+    partials = reduce_buckets(_functools.partial(
+        _cell_topk, k=k, exclude_self=exclude_self), c_buckets, q_buckets)
+    if not partials.num_blocks():
         return _empty_topk(id_col)
-    partials = _rd.from_arrow_refs(parts)
 
     def _final(df):
         df = df.sort_values(["query_id", "cosine", "__id"],
@@ -482,11 +470,6 @@ def corpus_topk(
         return out.rename(columns={"__id": id_col})
 
     return grouped_by_bucket(partials, ["query_id"], _final, nb, batch_format="pandas")
-
-
-@ray.remote
-def _nrows(t) -> int:
-    return 0 if t is None else t.num_rows
 
 
 # ---------------------------------------------------------------------------

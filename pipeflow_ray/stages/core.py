@@ -165,6 +165,17 @@ def bucket_ids(t: pa.Table, key_cols: list[str], num_buckets: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
+def _block_table(b) -> pa.Table:
+    """A block as an Arrow table. Ray's pandas ``to_arrow`` turns every
+    all-null column into ``null`` type, and every column of a zero-row frame
+    is all-null, so a zero-row frame converts here with its dtypes kept."""
+    if isinstance(b, pd.DataFrame) and not len(b):
+        return pa.Table.from_pandas(b, preserve_index=False)
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(b).to_arrow()
+
+
 @ray.remote
 def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
                       level: int, prep, *blocks):
@@ -181,14 +192,13 @@ def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
     one per block — 190 blocks × 64 slices of per-object overhead measured
     ~2× the whole exchange wall at sf0.1. Blocks come in whatever format
     their producer made (pandas from ``from_pandas_refs`` or a pandas UDF)
-    and turn into Arrow here, a no-op for Arrow blocks.
+    and turn into Arrow here (:func:`_block_table`), a no-op for Arrow
+    blocks.
 
     *prep* (``pa.Table -> pa.Table`` or None) runs once over the task's
     blocks before the hash, so a per-block preparation crosses the object
     store only as the exchange's own slices (see :func:`hash_exchange`)."""
-    from ray.data.block import BlockAccessor
-
-    tbls = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    tbls = [_block_table(b) for b in blocks]
     n_out = (num_buckets + fanout - 1) // fanout if level == 0 else fanout
     nonempty = [t for t in tbls if t.num_rows]
     if not nonempty:
@@ -214,21 +224,56 @@ def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
 
 
 @ray.remote
-def _reduce_task(fn, as_pandas: bool, *slices):
-    """Concat one bucket's slices and apply the (ray.put-shipped) UDF."""
-    slices = [t for t in slices if t.num_rows]
-    if not slices:
+def _reduce_task(fn, sizes: tuple, *slices):
+    """Reduce one bucket of one or more co-partitioned exchanges. *slices*
+    holds each side's ``sizes[i]`` slices in turn (refs must be top-level
+    task arguments for Ray to resolve them). *fn* gets one table per side:
+    the concat of its non-empty slices, else its widest zero-row slice (an
+    empty slice keeps the side's schema), else None for a side with no
+    blocks. A bucket with no rows on any side is skipped."""
+    tables, at = [], 0
+    for n in sizes:
+        side = slices[at:at + n]
+        at += n
+        rows = [t for t in side if t.num_rows]
+        if rows:
+            tables.append(pa.concat_tables(rows, promote_options="default"))
+        else:
+            tables.append(max(side, key=lambda t: t.num_columns) if side else None)
+    if not any(t is not None and t.num_rows for t in tables):
         return None
-    t = pa.concat_tables(slices, promote_options="default")
-    if as_pandas:
-        out = fn(t.to_pandas())
-        return pa.Table.from_pandas(out, preserve_index=False)
-    return fn(t)
+    return fn(*tables)
 
 
 @ray.remote
 def _nrows_task(t) -> int:
     return 0 if t is None else t.num_rows
+
+
+def reduce_buckets(fn, *sides):
+    """Reduce the buckets of one or more :func:`hash_exchange` results with
+    the same bucket count: one :func:`_reduce_task` per bucket calls *fn*
+    with one Arrow table per side (or None, see there) and returns a
+    ``pa.Table`` or None. *fn* is shipped once (``ray.put``).
+
+    The one place a bucket reduce starts. The result is a lazy Dataset over
+    the non-empty outputs (row counts come from one small task round, no
+    driver fetch), or ``from_items([])`` when no bucket emits rows."""
+    import ray.data as _rd
+
+    fn_ref = ray.put(fn)
+    outs = [
+        _reduce_task.remote(fn_ref, tuple(len(s) for s in bucket),
+                            *[ref for s in bucket for ref in s])
+        for bucket in zip(*sides, strict=True)
+    ]
+    counts = ray.get([_nrows_task.remote(o) for o in outs])
+    refs = [o for o, n in zip(outs, counts) if n > 0]
+    return _rd.from_arrow_refs(refs) if refs else _rd.from_items([])
+
+
+def _on_pandas(fn, t: pa.Table) -> pa.Table:
+    return pa.Table.from_pandas(fn(t.to_pandas()), preserve_index=False)
 
 
 def grouped_by_bucket(
@@ -249,26 +294,18 @@ def grouped_by_bucket(
     ~B times total. B = :func:`default_buckets` unless overridden.
 
     The all-to-all is :func:`hash_exchange` (raw-Ray map-side split — no
-    sort barrier). The upstream plan executes at this point (a shuffle is a
-    stage barrier); the result is a new lazy Dataset over the reduce
-    outputs, with empty buckets left out.
+    sort barrier), reduced by :func:`reduce_buckets`. The upstream plan
+    executes at this point (a shuffle is a stage barrier); the result is a
+    new lazy Dataset over the reduce outputs, with empty buckets left out.
 
     *prep* (``pa.Table -> pa.Table``) prepares the rows before they are
     keyed, inside the exchange's split tasks (see :func:`hash_exchange`).
     """
-    import ray.data as _rd
-
     if num_buckets is None:
         num_buckets = default_buckets()
-    buckets = hash_exchange(ds, key_cols, num_buckets, prep=prep)
-    as_pandas = batch_format == "pandas"
-    fn_ref = ray.put(fn)  # ship the UDF once, not once per reduce task
-    outs = [_reduce_task.remote(fn_ref, as_pandas, *b) for b in buckets]
-    counts = ray.get([_nrows_task.remote(o) for o in outs])  # refs only; no driver materialization
-    refs = [o for o, n in zip(outs, counts) if n > 0]
-    if not refs:
-        return _rd.from_items([])
-    return _rd.from_arrow_refs(refs)
+    if batch_format == "pandas":
+        fn = _functools.partial(_on_pandas, fn)
+    return reduce_buckets(fn, hash_exchange(ds, key_cols, num_buckets, prep=prep))
 
 
 MAX_FLAT_BUCKETS = 4096  # beyond this, slice-object count (tasks × buckets)
@@ -311,7 +348,7 @@ def block_refs(ds) -> list:
     ``MaterializedDataset`` already holds its blocks and runs nothing. A
     block keeps the format its producer gave it (pandas from
     ``from_pandas_refs`` or a pandas UDF): read it through
-    ``BlockAccessor.for_block(b).to_arrow()`` where Arrow is needed.
+    :func:`_block_table` where Arrow is needed.
 
     Not ``Dataset.to_arrow_refs``: in Ray 2.49 that call runs the plan,
     then asks for the schema, and a lazy plan ending in a UDF has none
@@ -338,7 +375,7 @@ def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
     keyed exchange without its sort machinery.
 
     Returns ``list[list[ObjectRef[pa.Table]]]``: ``out[j]`` = the slices of
-    bucket ``j`` (pass to a reduce task; empty slices included).
+    bucket ``j`` (empty slices included), for :func:`reduce_buckets`.
 
     *prep* (``pa.Table -> pa.Table``, shipped once with ``ray.put``) runs
     inside each split task over its blocks before they are hashed, so

@@ -11,14 +11,16 @@ assistant/tool response turns. Three strategies, chosen by side sizes:
   ``conv_id`` bucket exchange co-locates each conversation, and
   :func:`pair_next_turns` (Arrow sort + offset-slice compare) pairs every
   conversation of a bucket in one pass;
-- :func:`hash_join` — both sides large: Ray's built-in hash-partitioned
-  ``Dataset.join`` when available, else an explicit bucket-partitioned join.
+- :func:`hash_join` — both sides large: both cross one
+  ``hash_exchange`` and each bucket merges in one reduce task.
 
 Streaming (micro-batch, incremental) join state lives in
 ``pipeflow_ray.pipelines.streaming`` actor pools.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -150,14 +152,13 @@ def turn_response_join(
 JOIN_CHUNK_ROWS = 1 << 18  # probe-side rows per merge chunk (hot-key guard)
 
 
-@ray.remote
-def _hash_join_merge_task(n_left: int, on_cols: list[str], how: str, suffix: str,
-                          chunk_rows: int, *slices):
-    """Per-bucket equi-join of co-partitioned slices (vectorized pandas
-    merge). Empty slices still carry the full side schema, so every bucket
-    emits the same output schema — unlike Ray's built-in join, whose empty
-    partitions produce schemaless blocks (RefBundle schema-mismatch warnings,
-    round-1 VERDICT #8).
+def _hash_join_merge(lt, rt, *, on_cols: list[str], how: str, suffix: str,
+                     chunk_rows: int):
+    """Per-bucket equi-join of the two sides' bucket tables (vectorized
+    pandas merge). An empty side still carries its full schema, so every
+    bucket emits the same output schema — unlike Ray's built-in join, whose
+    empty partitions produce schemaless blocks (RefBundle schema-mismatch
+    warnings, round-1 VERDICT #8).
 
     Hot-key memory bound (round-2 VERDICT #6, extended to right/outer in
     round 4 per VERDICT r3 #4): a skewed key concentrates its whole bucket
@@ -169,23 +170,15 @@ def _hash_join_merge_task(n_left: int, on_cols: list[str], how: str, suffix: str
     bookkeeping): after the probe pass, still-unmatched build rows merge
     against a zero-row probe frame, which emits them with null probe columns
     in exactly the chunk merges' column order/suffixing."""
-    l_slices, r_slices = slices[:n_left], slices[n_left:]
-    ls = [t for t in l_slices if t.num_rows]
-    rs = [t for t in r_slices if t.num_rows]
-    if not ls and how in ("inner", "left"):
+    if (lt is None or not lt.num_rows) and how in ("inner", "left"):
         return None
-    if not rs and how in ("inner", "right"):
+    if (rt is None or not rt.num_rows) and how in ("inner", "right"):
         return None
-    if not l_slices or not r_slices:
-        # a zero-BLOCK side (upstream empty dataset): no slice carries its
+    if lt is None or rt is None:
+        # a zero-BLOCK side (upstream empty dataset): nothing carries its
         # schema, so the missing side's columns cannot be synthesized — emit
-        # the surviving side unchanged (outer/one-sided semantics)
-        keep = ls or rs
-        return pa.concat_tables(keep, promote_options="default") if keep else None
-    lt = pa.concat_tables(ls, promote_options="default") if ls else max(
-        l_slices, key=lambda t: t.num_columns)
-    rt = pa.concat_tables(rs, promote_options="default") if rs else max(
-        r_slices, key=lambda t: t.num_columns)
+        # the surviving side, which has rows, unchanged
+        return lt if rt is None else rt
     # ArrowDtype-backed frames: unmatched rows become NULLS of the original
     # type instead of pandas' int→float NaN coercion, so every bucket emits
     # the SAME schema even when only some buckets have unmatched rows
@@ -199,8 +192,6 @@ def _hash_join_merge_task(n_left: int, on_cols: list[str], how: str, suffix: str
                 if len(m):
                     parts.append(pa.Table.from_pandas(m, preserve_index=False))
         else:  # right / outer: probe chunks + unmatched-build bookkeeping
-            import numpy as np
-
             ridx = "__pfr_build_idx__"
             rdf = rdf.reset_index(drop=True)
             rdf[ridx] = np.arange(len(rdf), dtype=np.int64)
@@ -256,60 +247,35 @@ def hash_join(
     emit the surviving side's rows WITHOUT the missing side's columns; an
     empty side that still has schema-bearing blocks yields the usual
     all-null columns."""
-    from pipeflow_ray.stages.core import default_buckets, hash_exchange
+    from pipeflow_ray.stages.core import default_buckets, hash_exchange, reduce_buckets
 
     on_cols = [on] if isinstance(on, str) else list(on)
     if num_partitions is None:
         # same bucket discipline as every other exchange (≥64, 2× cores) —
         # more buckets = smaller per-bucket pandas frames (round-2 VERDICT #6)
         num_partitions = default_buckets()
-    lb = hash_exchange(left, on_cols, num_partitions)
-    rb = hash_exchange(right, on_cols, num_partitions)
-    outs = [
-        _hash_join_merge_task.remote(len(l), on_cols, how, suffix, chunk_rows, *l, *r)
-        for l, r in zip(lb, rb)
-    ]
-    counts = ray.get([_nrows_task.remote(o) for o in outs])
-    refs = [o for o, n in zip(outs, counts) if n > 0]
-    import ray.data as _rd
-
-    return _rd.from_arrow_refs(refs) if refs else _rd.from_items([])
+    merge = functools.partial(_hash_join_merge, on_cols=on_cols, how=how,
+                              suffix=suffix, chunk_rows=chunk_rows)
+    return reduce_buckets(merge, hash_exchange(left, on_cols, num_partitions),
+                          hash_exchange(right, on_cols, num_partitions))
 
 
-@ray.remote
-def _asof_merge_task(n_left: int, key: str, ts_col: str, direction: str, suffix: str, *slices):
-    """Per-bucket ``pandas.merge_asof`` of co-partitioned slices. Module-level
-    (not a per-call closure) so long sessions never collide same-qualname
-    remote-function exports; refs must be top-level args for Ray to resolve
-    them — *n_left* splits the flat slice list back into the two sides."""
-    l_slices, r_slices = slices[:n_left], slices[n_left:]
-    ls = [t for t in l_slices if t.num_rows]
-    rs = [t for t in r_slices if t.num_rows]
-    if not ls:
+def _asof_merge(lt, rt, *, key: str, ts_col: str, direction: str, suffix: str):
+    """Per-bucket ``pandas.merge_asof`` of the two sides' bucket tables. A
+    zero-row right side (its schema kept) yields all-null right columns, so
+    every bucket emits the same schema."""
+    if lt is None or not lt.num_rows:
         return None
-    ldf = pa.concat_tables(ls, promote_options="default").to_pandas().sort_values(
-        ts_col, kind="mergesort"
-    )
-    if not r_slices:
-        # zero-BLOCK right side: no slice carries the right schema — the
+    ldf = lt.to_pandas().sort_values(ts_col, kind="mergesort")
+    if rt is None:
+        # zero-BLOCK right side: nothing carries the right schema — the
         # as-of result is the left rows with no right columns to attach
         return pa.Table.from_pandas(ldf, preserve_index=False)
-    if rs:
-        rdf = pa.concat_tables(rs, promote_options="default").to_pandas().sort_values(
-            ts_col, kind="mergesort"
-        )
-    else:
-        # no right rows in this bucket: pick the widest empty slice (an empty
-        # slice normally carries the full right schema) → merge yields
-        # all-null right columns (stable schema across buckets)
-        rdf = max(r_slices, key=lambda t: t.num_columns).to_pandas()
+    rdf = rt.to_pandas().sort_values(ts_col, kind="mergesort")
     out = pd.merge_asof(
         ldf, rdf, on=ts_col, by=key, direction=direction, suffixes=("", suffix)
     )
     return pa.Table.from_pandas(out, preserve_index=False)
-
-
-from pipeflow_ray.stages.core import _nrows_task  # shared row-count task
 
 
 def asof_join(
@@ -330,41 +296,23 @@ def asof_join(
     -operator guidance (sort + per-bucket kernel). Partitioning assumption:
     each key's rows fit one bucket worker.
     """
-    from pipeflow_ray.stages.core import hash_exchange
+    from pipeflow_ray.stages.core import hash_exchange, reduce_buckets
 
-    lb = hash_exchange(left, [key], num_buckets)
-    rb = hash_exchange(right, [key], num_buckets)
-
-    outs = [
-        _asof_merge_task.remote(len(l), key, ts_col, direction, suffix, *l, *r)
-        for l, r in zip(lb, rb)
-    ]
-    counts = ray.get([_nrows_task.remote(o) for o in outs])
-    refs = [o for o, n in zip(outs, counts) if n > 0]
-    import ray.data as _rd
-
-    return _rd.from_arrow_refs(refs) if refs else _rd.from_items([])
+    merge = functools.partial(_asof_merge, key=key, ts_col=ts_col,
+                              direction=direction, suffix=suffix)
+    return reduce_buckets(merge, hash_exchange(left, [key], num_buckets),
+                          hash_exchange(right, [key], num_buckets))
 
 
-@ray.remote
-def _semi_filter_task(n_left: int, left_key: str, right_key: str, keep: bool, *slices):
+def _semi_filter_bucket(lt, rt, *, left_key: str, right_key: str, keep: bool):
     """Per-bucket (anti-)semi-join: keep left rows whose key does (keep=True,
     semi) or does NOT (keep=False, anti) appear in the co-partitioned right
-    side. Module-level task (per-call closures collide same-qualname exports
-    in long sessions — see stages/core.py)."""
-    import pyarrow.compute as pc
-
-    l_slices, r_slices = slices[:n_left], slices[n_left:]
-    ls = [t for t in l_slices if t.num_rows]
-    if not ls:
+    side."""
+    if lt is None or not lt.num_rows:
         return None
-    lt = pa.concat_tables(ls, promote_options="default")
-    rs = [t.select([right_key]) for t in r_slices if t.num_rows]
-    if not rs:
+    if rt is None or not rt.num_rows:
         return None if keep else lt
-    ids = pc.unique(
-        pa.concat_tables(rs, promote_options="default")[right_key].combine_chunks()
-    )
+    ids = pc.unique(rt[right_key].combine_chunks())
     mask = pc.is_in(lt[left_key], value_set=ids)
     return lt.filter(mask if keep else pc.invert(mask))
 
@@ -403,22 +351,15 @@ def semi_join(
 
 
 def _semi_filter(left, right, left_on, right_on, num_buckets, keep: bool):
-    from pipeflow_ray.stages.core import default_buckets, hash_exchange
+    from pipeflow_ray.stages.core import default_buckets, hash_exchange, reduce_buckets
 
     right_on = right_on or left_on
     if num_buckets is None:
         num_buckets = default_buckets()
-    lb = hash_exchange(left, [left_on], num_buckets)
-    rb = hash_exchange(right, [right_on], num_buckets)
-    outs = [
-        _semi_filter_task.remote(len(l), left_on, right_on, keep, *l, *r)
-        for l, r in zip(lb, rb)
-    ]
-    counts = ray.get([_nrows_task.remote(o) for o in outs])
-    refs = [o for o, n in zip(outs, counts) if n > 0]
-    import ray.data as _rd
-
-    return _rd.from_arrow_refs(refs) if refs else _rd.from_items([])
+    fn = functools.partial(_semi_filter_bucket, left_key=left_on,
+                           right_key=right_on, keep=keep)
+    return reduce_buckets(fn, hash_exchange(left, [left_on], num_buckets),
+                          hash_exchange(right, [right_on], num_buckets))
 
 
 def interval_join(
@@ -428,7 +369,6 @@ def interval_join(
     ts_col: str = "ts_us",
     start_col: str = "start_us",
     end_col: str = "end_us",
-    how: str = "inner",
     num_buckets: int = 64,
 ) -> ray.data.Dataset:
     """Point-in-interval join: each left row matched to the right interval of
@@ -438,10 +378,8 @@ def interval_join(
     then "the interval containing ts" is exactly "the latest interval with
     start ≤ ts, if ts ≤ its end", so the operator composes as the
     co-partitioned :func:`asof_join` (backward on start) plus a vectorized
-    end-bound filter. Inner semantics: unmatched left rows drop.
+    end-bound filter. The join is inner: unmatched left rows drop.
     """
-    if how != "inner":
-        raise ValueError("interval_join currently supports how='inner' only")
 
     def _as_ts(t: pa.Table) -> pa.Table:
         # asof machinery matches on a shared ts column name: expose the
@@ -454,8 +392,6 @@ def interval_join(
     r = right.map_batches(_as_ts, batch_format="pyarrow")
     joined = asof_join(left, r, key, ts_col=ts_col, direction="backward",
                        num_buckets=num_buckets)
-
-    import pyarrow.compute as pc
 
     def _bound(t: pa.Table) -> pa.Table:
         inside = pc.and_kleene(

@@ -124,3 +124,31 @@ def test_no_engine_module_forks_a_sort_shuffle():
         if ".map_groups(" in line or "join_type=" in line
     ]
     assert not hits, f"a sort-based shuffle fork came back; use hash_exchange: {hits}"
+
+
+def test_one_bucket_reduce_task():
+    """Every bucket reduce starts in ``stages.core.reduce_buckets`` and runs
+    in its ``_reduce_task``; the exactly-once sink's retried
+    ``_agg_commit_task`` is the one other remote task that takes a bucket's
+    slices. A per-operator bucket task would fork the reduce's launch code
+    and its empty-side rules. The frozen r4 flagship copy is exempt."""
+    import ast
+
+    frozen = pathlib.Path("pipeflow_ray/pipelines/pinned_flagship_r4.py")
+
+    def remote(dec) -> bool:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return isinstance(dec, ast.Attribute) and dec.attr == "remote"
+
+    found = {
+        f"{p.relative_to(REPO)}::{node.name}"
+        for p in sorted((REPO / "pipeflow_ray").rglob("*.py"))
+        if p.relative_to(REPO) != frozen
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(remote(d) for d in node.decorator_list)
+        and node.args.vararg is not None and node.args.vararg.arg == "slices"
+    }
+    assert found == {"pipeflow_ray/stages/core.py::_reduce_task",
+                     "pipeflow_ray/state/manifest.py::_agg_commit_task"}, (
+        f"bucket reduces go through stages.core.reduce_buckets: {sorted(found)}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 import ray.data
 
@@ -216,3 +217,120 @@ def test_bloom_prefilter_prunes_without_false_negatives():
          .sort_values(["k", "v"]).reset_index(drop=True))
     assert a.equals(b)
     assert len(a) == true_matches
+
+
+# Empty sides of the two-sided exchange operators. L and R overlap on keys 2
+# and 3; Z has no blocks at all (no schema anywhere); E is a zero-row side
+# that keeps its side's schema.
+_L = pa.table({"k": [1, 2, 3], "ts": [10, 20, 30], "a": [1, 2, 3]})
+_R = pa.table({"k": [2, 3, 4], "ts": [5, 15, 25], "b": [20, 30, 40]})
+
+
+def _sides(left: str, right: str):
+    def one(name, full):
+        if name == "Z":
+            return ray.data.from_items([])
+        return ray.data.from_arrow(full.slice(0, 0) if name == "E" else full)
+
+    return one(left, _L), one(right, _R)
+
+
+def _hash_join(how):
+    return lambda l, r: hash_join(l, r, "k", how=how, num_partitions=4)
+
+
+def _asof(l, r):
+    from pipeflow_ray.stages.join import asof_join
+
+    return asof_join(l, r, "k", num_buckets=4)
+
+
+def _semi(keep):
+    from pipeflow_ray.stages.join import anti_join, semi_join
+
+    op = semi_join if keep else anti_join
+    return lambda l, r: op(l, r, "k", num_buckets=4)
+
+
+def _attach(l, r):
+    from pipeflow_ray.functions.dedup import attach_by_id
+
+    pairs = l.rename_columns({"k": "id_a"}) if l.columns() else l
+    return attach_by_id(pairs, r, "id_a", "k", ["b"], "_s", num_buckets=4)
+
+
+_LCOLS, _RCOLS = ["k", "ts", "a"], ["k", "ts", "b"]
+
+
+@pytest.mark.parametrize("op,left,right,rows,cols", [
+    (_hash_join("inner"), "L", "Z", 0, None),
+    (_hash_join("inner"), "Z", "R", 0, None),
+    (_hash_join("inner"), "L", "E", 0, None),
+    (_hash_join("inner"), "E", "R", 0, None),
+    (_hash_join("left"), "L", "Z", 3, _LCOLS),
+    (_hash_join("outer"), "L", "Z", 3, _LCOLS),
+    (_hash_join("right"), "Z", "R", 3, _RCOLS),
+    (_hash_join("outer"), "Z", "R", 3, _RCOLS),
+    (_hash_join("left"), "L", "E", 3, ["k", "ts", "a", "ts_r", "b"]),
+    (_hash_join("left"), "L", "R", 3, ["k", "ts", "a", "ts_r", "b"]),
+    (_hash_join("right"), "L", "R", 3, ["k", "ts", "a", "ts_r", "b"]),
+    (_hash_join("outer"), "L", "R", 4, ["k", "ts", "a", "ts_r", "b"]),
+    (_asof, "L", "Z", 3, _LCOLS),
+    (_asof, "Z", "R", 0, None),
+    (_asof, "L", "E", 3, ["k", "ts", "a", "b"]),
+    (_semi(True), "L", "Z", 0, None),
+    (_semi(False), "L", "Z", 3, _LCOLS),
+    (_semi(False), "Z", "R", 0, None),
+    (_attach, "L", "Z", 0, None),
+    (_attach, "Z", "R", 0, None),
+], ids=[
+    "inner-L-Z", "inner-Z-R", "inner-L-E", "inner-E-R", "left-L-Z", "outer-L-Z",
+    "right-Z-R", "outer-Z-R", "left-L-E", "left-L-R", "right-L-R", "outer-L-R",
+    "asof-L-Z", "asof-Z-R", "asof-L-E", "semi-L-Z", "anti-L-Z", "anti-Z-R",
+    "attach-P-Z", "attach-Z-S",
+])
+def test_two_sided_exchange_empty_sides(op, left, right, rows, cols):
+    """Each two-sided operator's answer when a side has no rows: a side
+    with no blocks carries no schema, so an outer-ish result keeps only the
+    surviving side's columns; a zero-row side with a schema adds its
+    columns as nulls."""
+    out = op(*_sides(left, right))
+    if rows == 0:
+        assert out.count() == 0
+        return
+    df = out.to_pandas()
+    assert len(df) == rows
+    assert list(df.columns) == cols
+
+
+@pytest.mark.parametrize("queries", ["Z", "E"])
+def test_corpus_topk_without_query_rows_has_topk_schema(queries):
+    import numpy as np
+
+    from pipeflow_ray.functions.similarity import corpus_topk
+
+    vecs = np.random.default_rng(5).normal(size=(40, 4))
+    corpus = pa.table({"vec_id": pa.array(np.arange(40)),
+                       "embedding": pa.array(list(vecs), pa.list_(pa.float64()))})
+    q = (ray.data.from_items([]) if queries == "Z"
+         else ray.data.from_arrow(corpus.slice(0, 0)))
+    out = corpus_topk(ray.data.from_arrow(corpus), q, k=3, n_clusters=4,
+                      nprobe=4, num_buckets=4)
+    assert out.count() == 0
+    assert out.schema().names == ["query_id", "vec_id", "cosine", "rank"]
+
+
+def test_zero_row_pandas_side_keeps_its_types():
+    """A zero-row pandas block reaches the reduce with its dtypes: Ray's
+    ``to_arrow`` would turn every column of it into ``null``."""
+    from pipeflow_ray.stages.join import asof_join
+
+    empty = pd.DataFrame({c: pd.Series([], dtype="int64") for c in ("k", "ts", "b")})
+    left = ray.data.from_arrow(_L)
+    got = asof_join(left, ray.data.from_pandas(empty), "k", num_buckets=4)
+    assert got.count() == 3
+    joined = hash_join(left, ray.data.from_pandas(empty), "k", how="left",
+                       num_partitions=4).materialize()
+    assert joined.count() == 3
+    types = dict(zip(joined.schema().names, joined.schema().types))
+    assert types["b"] == pa.int64() and types["ts_r"] == pa.int64()
