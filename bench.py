@@ -6,7 +6,8 @@ JSON line: ``{"metric": ..., "value": <headline sec>, "unit":
 "sec", "queries": {...}, "sf": ..., "num_cpus": N, "usable_cores": U}``.
 ``RAY_GRAFT_CPUS`` defaults to the usable cores (the affinity mask, capped by
 the cgroup CPU quota); asking for more oversubscribes the host and prints a
-warning, since walls then stop being comparable across hosts.
+warning, since walls then stop being comparable across hosts. The walls are
+absolute; a same-host comparison of two commits is ``tools/ab.py``.
 
 ``--scaling``: run the headline pipeline in two fresh processes at 8 and 32
 CPUs on the same input (the sandbox proxy for the N vs 4N node criterion) and
@@ -61,20 +62,14 @@ def _canary(tab=None) -> float:
 
 def _headline(sf_dir: str, out_root: str, reps: int) -> dict:
     """Flagship chain (read transcripts → normalize → stateful join →
-    tumbling window aggregate → exactly-once partitioned sink), run
-    INTERLEAVED rep-by-rep with the FROZEN r4 snapshot of the same pipeline
-    (`pipelines/pinned_flagship_r4.py`) in the same Ray session. The
-    `ab_ratio` (live min / pinned min) is the contention-proof artifact:
-    both sides see the same host state, so the ratio is stable when the
-    absolute walls are not (round-4 VERDICT #1)."""
+    tumbling window aggregate → exactly-once partitioned sink), min-of-*reps*
+    wall after an untimed warm-up. The canary in ``bench_once`` is the
+    contention signal; a speed claim is a ``tools/ab.py`` ratio against a
+    named commit, not this absolute wall."""
     import pyarrow.parquet as pq
 
     from pipeflow_ray.fixtures import ensure_transcripts
     from pipeflow_ray.pipelines.flagship import flagship_pipeline
-
-    run_ab = not os.environ.get("GRAFT_NO_AB")
-    if run_ab:
-        from pipeflow_ray.pipelines.pinned_flagship_r4 import pinned_flagship
 
     path = ensure_transcripts(sf_dir)
     files = sorted(
@@ -91,41 +86,16 @@ def _headline(sf_dir: str, out_root: str, reps: int) -> dict:
     warm_dir = os.path.join(out_root, "warmup_out")
     shutil.rmtree(warm_dir, ignore_errors=True)
     flagship_pipeline(warm, out_dir=warm_dir, num_partitions=8)
-    if run_ab:
-        shutil.rmtree(warm_dir, ignore_errors=True)
-        pinned_flagship(warm, out_dir=warm_dir, num_partitions=8)
 
-    def _run(side: str) -> float:
-        out_dir = os.path.join(out_root, f"{side}_out")
+    out_dir = os.path.join(out_root, "headline_out")
+    walls = []
+    for _ in range(reps):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.perf_counter()
-        if side == "pinned":
-            pinned_flagship(path, out_dir=out_dir, num_partitions=64)
-        else:
-            flagship_pipeline(path, out_dir=out_dir, num_partitions=64,
-                              return_windowed=False)
-        return time.perf_counter() - t0
-
-    live, pinned = [], []
-    for i in range(reps):
-        if run_ab:
-            # alternate which side goes first so slow drift cancels across reps
-            for side in (("pinned", "live") if i % 2 == 0 else ("live", "pinned")):
-                (pinned if side == "pinned" else live).append(_run(side))
-        else:
-            live.append(_run("live"))
-    out = {"value": round(min(live), 3), "turns": n_turns}
-    if run_ab:
-        pairs = [[round(p, 3), round(c, 3)] for p, c in zip(pinned, live)]
-        ratios = sorted(c / p for p, c in zip(pinned, live))
-        out.update({
-            "baseline_sec": round(min(pinned), 3),
-            "ab_ratio": round(min(live) / min(pinned), 3),
-            "ab_ratio_paired_median": round(ratios[len(ratios) // 2], 3),
-            "ab_pairs": pairs,
-            "ab_baseline": "pinned_flagship_r4 (frozen r4 flagship, commit ffc7f36)",
-        })
-    return out
+        flagship_pipeline(path, out_dir=out_dir, num_partitions=64,
+                          return_windowed=False)
+        walls.append(time.perf_counter() - t0)
+    return {"value": round(min(walls), 3), "turns": n_turns}
 
 
 def _run_queries(sf_dir: str, reps: int = 2) -> dict[str, float]:
@@ -289,10 +259,6 @@ def bench_once() -> dict:
             "contended": contended,
         },
     }
-    for k in ("baseline_sec", "ab_ratio", "ab_ratio_paired_median",
-              "ab_pairs", "ab_baseline"):
-        if k in head:
-            result[k] = head[k]
     ray.shutdown()
     return result
 
@@ -317,10 +283,7 @@ def bench_scaling() -> dict:
     def run(ncpu: int, reps: str) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_HEADLINE_ONLY="1",
                    GRAFT_SF_DIR=sf_dir, PYTHONPATH=REPO, OMP_NUM_THREADS="1",
-                   # scaling compares the SAME pipeline at two parallelism
-                   # levels — the efficiency is already a same-host ratio, so
-                   # the A/B interleave would only double the runtime
-                   GRAFT_NO_AB="1", GRAFT_BENCH_REPS=reps)
+                   GRAFT_BENCH_REPS=reps)
         out = subprocess.run(
             [sys.executable, os.path.join(REPO, "bench.py")],
             env=env, capture_output=True, text=True, check=True,
@@ -331,8 +294,8 @@ def bench_scaling() -> dict:
         # Interleave the two levels IN TIME (lo,hi,hi,lo,lo,hi …): the
         # host's bursty external contention (see BASELINE.md attempts 1/3/4,
         # where a burst hit exactly one side and collapsed the ratio) then
-        # taxes both levels symmetrically — the scaling analog of the
-        # headline's pinned-A/B discipline. min-of-reps per level.
+        # taxes both levels symmetrically, as tools/ab.py's rotating run
+        # order does for two commits. min-of-reps per level.
         reps = int(os.environ.get("GRAFT_SCALE_REPS", "3"))
         los, his = [], []
         for i in range(reps):

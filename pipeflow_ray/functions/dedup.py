@@ -332,19 +332,16 @@ _EMPTY_COSINE = pa.schema(
 def _stable_empty(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
     """Pair pipelines can end in a zero-block dataset (no bucket produced a
     pair); give the empty result the declared schema so downstream
-    select/compare never sees a schemaless frame. Materialized so the count
-    probe and the caller's consumption share one execution. Zero-row blocks
-    are dropped (refs only — no driver materialization): Ray reports them as
-    schemaless RefBundles, which trips the executor's schema-mismatch
-    warning in every downstream stage."""
-    ds = ds.materialize()
-    if ds.count() == 0:
+    select/compare never sees a schemaless frame. Materialized so the
+    emptiness test and the caller's consumption share one execution.
+    Zero-row blocks are dropped by their bundle metadata (refs only — no
+    task, no driver materialization): Ray reports them as schemaless
+    RefBundles, which trips the executor's schema-mismatch warning in every
+    downstream stage."""
+    keep = [ref for bundle in ds.materialize().iter_internal_ref_bundles()
+            for ref, md in bundle.blocks if md.num_rows != 0]
+    if not keep:
         return ray.data.from_arrow(schema.empty_table())
-    from pipeflow_ray.stages.core import _nrows_task, block_refs
-
-    refs = block_refs(ds)
-    counts = ray.get([_nrows_task.remote(r) for r in refs])
-    keep = [r for r, n in zip(refs, counts) if n > 0]
     return ray.data.from_arrow_refs(keep)
 
 

@@ -92,13 +92,10 @@ def test_exchange_of_pandas_blocks_equals_arrow_blocks(tmp_path):
 
 def test_no_engine_module_calls_to_arrow_refs():
     """``Dataset.to_arrow_refs`` runs a lazy UDF plan twice in Ray 2.49;
-    engine code takes block refs from ``stages.core.block_refs``. The frozen
-    r4 flagship copy is the only exception."""
-    allowed = {pathlib.Path("pipeflow_ray/pipelines/pinned_flagship_r4.py")}
+    engine code takes block refs from ``stages.core.block_refs``."""
     hits = [
         f"{p.relative_to(REPO)}:{i}"
         for p in sorted((REPO / "pipeflow_ray").rglob("*.py"))
-        if p.relative_to(REPO) not in allowed
         for i, line in enumerate(p.read_text().splitlines(), 1)
         if ".to_arrow_refs(" in line
     ]
@@ -131,10 +128,8 @@ def test_one_bucket_reduce_task():
     in its ``_reduce_task``; the exactly-once sink's retried
     ``_agg_commit_task`` is the one other remote task that takes a bucket's
     slices. A per-operator bucket task would fork the reduce's launch code
-    and its empty-side rules. The frozen r4 flagship copy is exempt."""
+    and its empty-side rules."""
     import ast
-
-    frozen = pathlib.Path("pipeflow_ray/pipelines/pinned_flagship_r4.py")
 
     def remote(dec) -> bool:
         dec = dec.func if isinstance(dec, ast.Call) else dec
@@ -143,7 +138,6 @@ def test_one_bucket_reduce_task():
     found = {
         f"{p.relative_to(REPO)}::{node.name}"
         for p in sorted((REPO / "pipeflow_ray").rglob("*.py"))
-        if p.relative_to(REPO) != frozen
         for node in ast.walk(ast.parse(p.read_text()))
         if isinstance(node, ast.FunctionDef)
         and any(remote(d) for d in node.decorator_list)

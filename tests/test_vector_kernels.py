@@ -307,6 +307,30 @@ def test_embedding_neardup_empty_input_schema():
     assert got.count() == 0
 
 
+def test_stable_empty_keeps_only_the_non_empty_blocks():
+    """``dedup._stable_empty`` drops zero-row blocks by their bundle
+    metadata and returns every row of the others; zero-row blocks alone
+    give the declared schema."""
+    from pipeflow_ray.functions.dedup import _EMPTY_COSINE, _stable_empty
+
+    def part(ids):
+        return pa.table({"id_a": pa.array(ids, pa.int64()),
+                         "id_b": pa.array([i + 10 for i in ids], pa.int64()),
+                         "cosine": pa.array([0.5] * len(ids), pa.float64())})
+
+    got = _stable_empty(ray.data.from_arrow(
+        [part([]), part([1, 2]), part([]), part([3]), part([])]), _EMPTY_COSINE)
+    blocks = [md.num_rows for b in got.iter_internal_ref_bundles() for _, md in b.blocks]
+    assert blocks == [2, 1]
+    assert got.take_all() == part([1, 2, 3]).to_pylist()
+
+    none = _stable_empty(ray.data.from_arrow([part([]), part([])]), _EMPTY_COSINE)
+    sch = none.schema()
+    assert dict(zip(sch.names, sch.types)) == dict(zip(_EMPTY_COSINE.names,
+                                                      _EMPTY_COSINE.types))
+    assert none.count() == 0
+
+
 def test_bm25_topk_empty_corpus_and_no_match():
     from pipeflow_ray.functions.text import bm25_topk
 
