@@ -36,22 +36,25 @@ from pipeflow_ray.stages.join import pair_next_turns
 from pipeflow_ray.stages.window import session_aggregate
 from pipeflow_ray.state.manifest import _commit_buckets, read_committed_dataset
 
-TRANSCRIPT_COLUMNS = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+# what normalize → _slim read; the transcripts' ``tool`` column is never read
+FLAGSHIP_COLUMNS = ["conv_id", "turn_idx", "role", "text", "ts"]
+CHAR_COLUMNS = ["conv_id", "text", "ts"]  # the per-conversation char stats
 US_PER_HOUR = 3_600_000_000
 
 
 def normalize(t: pa.Table) -> pa.Table:
     """Ingest normalization (the reference's Trim/auto-convert analog,
-    ``PipeFlow/CsvReader.cs:120-206``): trim text, null-safe tool, derived
-    ``n_chars``. Pure Arrow kernels, zero-copy in."""
+    ``PipeFlow/CsvReader.cs:120-206``): null-safe trimmed text and its
+    derived ``n_chars``. Pure Arrow kernels, zero-copy in."""
     text = pc.utf8_trim_whitespace(pc.fill_null(t["text"], ""))
     n_chars = pc.utf8_length(text)
     t = t.set_column(t.column_names.index("text"), "text", text)
     return t.append_column("n_chars", n_chars.cast(pa.int64()))
 
 
-def read_transcripts(path: str, num_blocks: int | None = None) -> ray.data.Dataset:
-    return ray.data.read_parquet(path, columns=TRANSCRIPT_COLUMNS, override_num_blocks=num_blocks)
+def read_transcripts(path: str, num_blocks: int | None = None,
+                     columns: list[str] = FLAGSHIP_COLUMNS) -> ray.data.Dataset:
+    return ray.data.read_parquet(path, columns=columns, override_num_blocks=num_blocks)
 
 
 def _read_blocks(path: str) -> int:
@@ -206,7 +209,8 @@ def windowed_char_stats(
     to the plain aggregate."""
     from pipeflow_ray.stages.window import tumbling_aggregate
 
-    ds = read_transcripts(transcripts_path, num_blocks=_read_blocks(transcripts_path))
+    ds = read_transcripts(transcripts_path, num_blocks=_read_blocks(transcripts_path),
+                          columns=CHAR_COLUMNS)
 
     def _nc(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -235,7 +239,8 @@ def windowed_char_stats(
 
 def session_stats(transcripts_path: str, session_gap_s: float = 1800.0) -> ray.data.Dataset:
     """Companion output: per-conversation session windows over raw turns."""
-    ds = read_transcripts(transcripts_path).map_batches(normalize, batch_format="pyarrow")
+    ds = read_transcripts(transcripts_path, columns=CHAR_COLUMNS).map_batches(
+        normalize, batch_format="pyarrow")
     ds = ds.select_columns(["conv_id", "ts", "n_chars"])
     return session_aggregate(
         ds,

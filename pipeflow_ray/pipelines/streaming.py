@@ -1187,6 +1187,7 @@ class _Checkpoint:
         self.stop_after = stop_after_epochs  # crash-injection hook (tests)
         self.epoch = self.commit_seq = self.base_late = self.epochs_run = 0
         self.finalized = False
+        self.state_file = None  # the snapshot latest.json names
         self.actors: list = []
 
     def start(self, n: int, actors: list) -> tuple[list, list, list]:
@@ -1203,7 +1204,8 @@ class _Checkpoint:
         self.epoch, self.commit_seq = ck["epoch"], ck["commit_seq"]
         self.base_late = ck["late_rows"]  # replayer late counters restart per run
         self.finalized = ck.get("finalized", False)
-        state = pd.read_parquet(os.path.join(self.dir, ck["state_file"]))
+        self.state_file = ck["state_file"]
+        state = pd.read_parquet(os.path.join(self.dir, self.state_file))
         if len(state):
             bucket = _bucket_of(state[getattr(self.runner, "key", "conv_id")], len(actors))
             ray.get([a.load_state.remote(state[bucket == b]) for b, a in enumerate(actors)])
@@ -1267,6 +1269,12 @@ class _Checkpoint:
         with open(tmpj, "w") as f:
             json.dump(rec, f)
         os.replace(tmpj, self.json)  # atomic: checkpoint becomes visible
+        # only now is the superseded snapshot unreachable: resume reads the
+        # state file latest.json names, and a crash before the replace above
+        # still finds the previous one
+        if self.state_file not in (None, state_file):
+            os.remove(os.path.join(self.dir, self.state_file))
+        self.state_file = state_file
 
 
 class _ParallelCheckpointMixin:

@@ -38,7 +38,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from pipeflow_ray.stages.core import bucket_ids, hash_exchange
+from pipeflow_ray.stages.core import KeyedBuckets, _bucket_slices, bucket_ids, hash_exchange
 
 _STATS_COLUMNS = ["partition_id", "rows", "bytes", "skipped", "wall_s"]
 
@@ -83,6 +83,15 @@ def _skipped(pid: int, manifest: dict) -> dict:
             "skipped": True, "wall_s": 0.0}
 
 
+def _committed(out_dir: str, pid: int) -> dict | None:
+    """The stats row of an already-committed partition, else None."""
+    mpath = _manifest_path(out_dir, pid)
+    if not os.path.exists(mpath):
+        return None
+    with open(mpath) as f:
+        return _skipped(pid, json.load(f))
+
+
 def commit_partition(
     body: pa.Table,
     out_dir: str,
@@ -95,10 +104,10 @@ def commit_partition(
     existing manifest makes this a no-op. Usable from any task; the
     streaming checkpoint commits call it directly."""
     t0 = time.perf_counter()
+    done = _committed(out_dir, pid)
+    if done is not None:
+        return done
     mpath = _manifest_path(out_dir, pid)
-    if os.path.exists(mpath):
-        with open(mpath) as f:
-            return _skipped(pid, json.load(f))
     final = os.path.join(out_dir, f"part-{pid:05d}.parquet")
     tmp = os.path.join(out_dir, "_tmp", f"part-{pid:05d}.{uuid.uuid4().hex}.parquet")
     pq.write_table(body, tmp)
@@ -140,9 +149,15 @@ def prepare_sink(out_dir: str) -> None:
 # the retry exactly-once (no-op if committed, clean overwrite of a partial
 # data file otherwise).
 @ray.remote(max_retries=3, retry_exceptions=True)
-def _agg_commit_task(fn, pid: int, out_dir: str, ts_col: str | None,
-                     lineage: dict | None, *slices) -> dict:
-    return commit_partition(fn(slices), out_dir, pid, ts_col, lineage)
+def _agg_commit_task(fn, first_pid: int, pids: tuple, out_dir: str, ts_col: str | None,
+                     lineage: dict | None, *slices) -> list[dict]:
+    """Commit the partitions *pids* of one reduce group whose first bucket
+    is *first_pid*; *slices* are the group's objects, one per split task.
+    A pid committed meanwhile (a retry of this task) is reported from its
+    manifest without calling *fn*."""
+    return [_committed(out_dir, pid) or commit_partition(
+                fn(_bucket_slices(slices, pid - first_pid)), out_dir, pid, ts_col, lineage)
+            for pid in pids]
 
 
 def _concat(slices) -> pa.Table:
@@ -151,26 +166,30 @@ def _concat(slices) -> pa.Table:
     return pa.concat_tables(nonempty or slices[:1], promote_options="default")
 
 
-def _commit_buckets(buckets: list, fn, out_dir: str, ts_col: str | None,
-                   lineage: dict | None) -> pd.DataFrame:
+def _commit_buckets(buckets: KeyedBuckets, fn, out_dir: str, ts_col: str | None,
+                    lineage: dict | None) -> pd.DataFrame:
     """Commit each bucket of a :func:`~pipeflow_ray.stages.core.hash_exchange`
     as one partition, pid = bucket index, through one retried commit task
-    that calls :func:`commit_partition` on *fn* of the bucket's slices
-    (``tuple[pa.Table] -> pa.Table``).
+    per reduce group that calls :func:`commit_partition` on *fn* of each
+    bucket's slices (``list[pa.Table] -> pa.Table``). The task holds its
+    whole group's slices at once.
 
     Partitions already in :func:`completed_partitions` are reported from
-    their manifests and get no task. Every other bucket is committed, an
-    empty one as a zero-row partition; a bucket with no slices (an input
-    with no blocks, hence no schema) commits nothing. Returns the stats
-    frame ``partition_id, rows, bytes, skipped, wall_s`` by pid."""
+    their manifests and get no commit; a group with no other partition gets
+    no task. Every other bucket is committed, an empty one as a zero-row
+    partition; an input with no blocks (no schema) commits nothing.
+    Returns the stats frame ``partition_id, rows, bytes, skipped, wall_s``
+    by pid."""
     prepare_sink(out_dir)
     done = completed_partitions(out_dir)
-    futures = [
-        _agg_commit_task.remote(fn, pid, out_dir, ts_col, lineage, *b)
-        for pid, b in enumerate(buckets)
-        if b and pid not in done
-    ]
-    rows = ray.get(futures) + [_skipped(pid, m) for pid, m in done.items()]
+    futures = []
+    for objs, lo, hi in zip(buckets.groups, buckets.edges[:-1], buckets.edges[1:]):
+        pids = tuple(p for p in range(lo, hi) if p not in done)
+        if objs and pids:
+            futures.append(_agg_commit_task.remote(fn, lo, pids, out_dir, ts_col,
+                                                   lineage, *objs))
+    rows = [r for rs in ray.get(futures) for r in rs]
+    rows += [_skipped(pid, m) for pid, m in done.items()]
     stats = pd.DataFrame(rows, columns=_STATS_COLUMNS)
     return stats.sort_values("partition_id").reset_index(drop=True)
 

@@ -298,10 +298,11 @@ def test_hash_exchange_partition_property():
     for blocks in (1, 7, 64):
         ds = ray.data.from_arrow(t).repartition(blocks)
         buckets = hash_exchange(ds, ["k"], 16)
+        assert buckets.num_buckets == 16
         per_bucket = [
-            pa.concat_tables([x for x in ray.get(refs) if x.num_rows])
-            if any(x.num_rows for x in ray.get(refs)) else None
-            for refs in buckets
+            pa.concat_tables([x for x in buckets.bucket(j) if x.num_rows])
+            if any(x.num_rows for x in buckets.bucket(j)) else None
+            for j in range(16)
         ]
         tables = [b for b in per_bucket if b is not None]
         total = sum(b.num_rows for b in tables)

@@ -65,8 +65,8 @@ def test_exchange_runs_upstream_plan_once(tmp_path):
 
 def _bucket_frames(buckets) -> list:
     frames = []
-    for refs in buckets:
-        tables = ray.get(list(refs))
+    for j in range(buckets.num_buckets):
+        tables = buckets.bucket(j)
         assert all(isinstance(t, pa.Table) for t in tables)
         frames.append(pa.concat_tables(tables).to_pandas()
                       .sort_values(["k", "v"], ignore_index=True))

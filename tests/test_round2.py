@@ -271,8 +271,8 @@ def test_hierarchical_exchange_matches_flat():
 
     def collect(buckets):
         out = []
-        for refs in buckets:
-            tabs = [x for x in ray.get(list(refs)) if x.num_rows]
+        for j in range(buckets.num_buckets):
+            tabs = [x for x in buckets.bucket(j) if x.num_rows]
             out.append(
                 pa.concat_tables(tabs).to_pandas().sort_values(["k", "v"]).reset_index(drop=True)
                 if tabs else None

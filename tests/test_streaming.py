@@ -417,6 +417,36 @@ def test_checkpoint_resume_midstream_exactly_once(transcripts_path, tmp_path):
     pd.testing.assert_frame_equal(got, ref, check_dtype=False)
 
 
+def test_checkpoint_keeps_only_the_latest_state_file(transcripts_path, tmp_path):
+    """Each snapshot replaces the state file the previous one wrote: after a
+    crashed run, a resume and a completed run, ``_checkpoints/`` holds one
+    ``state-*.parquet``, the one ``latest.json`` names."""
+    import json
+    import os
+
+    from pipeflow_ray.pipelines.streaming import ParallelCheckpointingSessionRunner
+
+    def state_files(out):
+        ck = os.path.join(out, "_checkpoints")
+        with open(os.path.join(ck, "latest.json")) as f:
+            named = json.load(f)["state_file"]
+        return named, sorted(f for f in os.listdir(ck) if f.startswith("state-"))
+
+    def runner():
+        return ParallelCheckpointingSessionRunner(
+            gap_s=1800.0, lateness_s=3 * 3600.0, num_buckets=4, max_replayers=1)
+
+    kw = dict(micro_batch_rows=64, checkpoint_every=2)
+    out = str(tmp_path / "out")
+    assert runner().run(transcripts_path, out, stop_after_epochs=4, **kw) is None
+    named, files = state_files(out)
+    assert files == [named] and named != "state-00000001.parquet"
+    m = runner().run(transcripts_path, out, **kw)
+    assert m is not None and m["epochs"] >= 6
+    named, files = state_files(out)
+    assert files == [named]
+
+
 def test_streaming_join_equals_batch_join(transcripts_path):
     """Incremental actor-state join must equal the batch turn-response join
     when the eviction gap covers the stream's disorder."""

@@ -254,15 +254,15 @@ def test_hash_exchange_prep_empty_blocks_keep_prep_schema():
     for blocks in ([empty, empty], [empty, full]):
         ds = ray.data.from_arrow_refs([ray.put(b) for b in blocks])
         buckets = core.hash_exchange(ds, ["k", "copy"], 4, prep=_tagger())
-        slices = ray.get([r for b in buckets for r in b])
+        slices = [t for j in range(4) for t in buckets.bucket(j)]
         assert slices and all(t.schema.names == ["k", "copy"] for t in slices)
         assert sum(t.num_rows for t in slices) == 2 * sum(b.num_rows for b in blocks)
 
 
 def test_hash_exchange_prep_refused_on_keyed_buckets():
     ds = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3], pa.int64())}))
-    handle = core.exchange_keyed(ds, ["k"], 2)
-    assert core.hash_exchange(handle, ["k"], 2) is handle.buckets
+    handle = core.hash_exchange(ds, ["k"], 2)
+    assert core.hash_exchange(handle, ["k"], 2) is handle
     with pytest.raises(ValueError, match="already split"):
         core.hash_exchange(handle, ["k"], 2, prep=_tagger())
 
