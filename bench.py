@@ -9,9 +9,10 @@ the cgroup CPU quota); asking for more oversubscribes the host and prints a
 warning, since walls then stop being comparable across hosts. The walls are
 absolute; a same-host comparison of two commits is ``tools/ab.py``.
 
-``--scaling``: run the headline pipeline in two fresh processes at 8 and 32
-CPUs on the same input (the sandbox proxy for the N vs 4N node criterion) and
-print both wall times, both throughputs, and the scaling efficiency.
+``--scaling``: run the headline pipeline in two fresh processes at N and 4N
+CPUs on the same input (the sandbox proxy for the N vs 4N node criterion;
+``GRAFT_SCALE_LEVELS``, default ``2,8``) and print both wall times, both
+throughputs, and the scaling efficiency.
 """
 
 from __future__ import annotations

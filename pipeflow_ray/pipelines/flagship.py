@@ -171,8 +171,9 @@ def flagship_pipeline(
     exactly-once sink — partition id = conv_id hash bucket).
 
     The keyed all-to-all is :func:`~pipeflow_ray.stages.core.hash_exchange`
-    (raw-Ray map-side split, no sort barrier); each bucket-reduce task pairs,
-    window-aggregates, and (with *out_dir*) atomically commits its partition.
+    (raw-Ray map-side split, no sort barrier); per bucket, its reduce
+    group's task pairs, window-aggregates, and (with *out_dir*) atomically
+    commits the bucket's partition.
     """
     ds = read_transcripts(transcripts_path, num_blocks=_read_blocks(transcripts_path))
     # normalize and slim in one stateless pass: raw text never crosses the exchange

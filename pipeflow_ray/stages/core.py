@@ -8,6 +8,7 @@ batch_format="pyarrow")`` — no Python-per-row work on the hot path.
 
 from __future__ import annotations
 
+import bisect
 import functools as _functools
 from typing import Callable
 
@@ -252,7 +253,7 @@ def _split_level_task(key_cols: list[str], num_buckets: int, fanout: int,
          else np.empty(0, np.int64))
     key = b if edges is not None else b // fanout
     order = np.argsort(key, kind="stable")
-    t = tbl.take(pa.array(order)) if tbl.num_rows else tbl
+    t = tbl.take(pa.array(order))
     xs = key[order]
     if edges is None:
         bounds = np.searchsorted(xs, np.arange(-(-num_buckets // fanout) + 1))
@@ -406,8 +407,6 @@ class KeyedBuckets:
         """Bucket ``j`` as one ``pa.Table`` slice per split task that fed its
         group (empty slices included; ``[]`` for an input with no blocks).
         Fetches the whole group to the caller: for tests and small reads."""
-        import bisect
-
         g = bisect.bisect_right(self.edges, j) - 1
         return _bucket_slices(ray.get(self.groups[g]), j - self.edges[g])
 
@@ -511,7 +510,6 @@ def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
     # bucket range first, then one final-level task per range emits the group
     # objects of the reduce groups it overlaps — object count drops from
     # tasks × groups to tasks × √buckets + ranges × groups per range.
-    import bisect
     import math
 
     fanout = max(2, int(math.isqrt(num_buckets)))

@@ -12,7 +12,7 @@ assistant/tool response turns. Three strategies, chosen by side sizes:
   :func:`pair_next_turns` (Arrow sort + offset-slice compare) pairs every
   conversation of a bucket in one pass;
 - :func:`hash_join` — both sides large: both cross one
-  ``hash_exchange`` and each bucket merges in one reduce task.
+  ``hash_exchange`` and each bucket merges in its reduce group's task.
 
 Streaming (micro-batch, incremental) join state lives in
 ``pipeflow_ray.pipelines.streaming`` actor pools.

@@ -11,13 +11,15 @@ sink generalizes that to files:
 1. rows are hash-partitioned by a deterministic key → partition id ``pid``
    (one :func:`~pipeflow_ray.stages.core.hash_exchange`: the pid is the
    key's bucket);
-2. each partition task writes to a temp file, fsyncs, atomically renames to
-   the final deterministic path ``part-{pid}.parquet``;
+2. one task per reduce group of buckets writes each of its partitions to a
+   temp file, fsyncs, atomically renames it to the final deterministic path
+   ``part-{pid}.parquet``;
 3. the single atomic commit point is the rename of the per-partition
    **manifest** (JSON: pid, file, rows, bytes, ts bounds/watermark, input
    lineage, wall time) into ``_manifests/``;
-4. a re-executed task (retry or resume) sees the committed manifest and
-   no-ops — re-running the whole job skips finished partitions.
+4. a re-executed task (retry or resume) sees the committed manifests and
+   commits only the rest — re-running the whole job skips finished
+   partitions.
 
 Output is a directory of per-partition files (never one giant file), so a
 failed 100 TB run resumes by skipping committed partitions.
