@@ -185,7 +185,10 @@ def reduce_group_edges(num_buckets: int) -> tuple:
     :func:`merge_buckets`' own, so G reduce tasks keep every worker busy,
     and every bucket beyond G costs a slice and a function call inside a
     task instead of a task, an object per split task and a row count. At
-    cluster scale (2 × CPUs ≥ buckets) every group is one bucket."""
+    cluster scale (2 × CPUs ≥ buckets) every group is one bucket. Two
+    exchanges reduced together must see the same CPU count: a cluster that
+    resizes between them gives them different groups, and
+    :func:`reduce_buckets` refuses the pair."""
     g = max(1, min(num_buckets, 2 * _session_cpus()))
     return tuple(i * num_buckets // g for i in range(g + 1))
 
@@ -485,10 +488,10 @@ def hash_exchange(ds, key_cols: list[str], num_buckets: int | None = None,
         return ds
     if num_buckets is None:
         num_buckets = default_buckets()
+    refs = block_refs(ds)  # runs the plan, so Ray is up before its CPUs are read
     edges = reduce_group_edges(num_buckets)
     n_groups = len(edges) - 1
     groups: list[list] = [[] for _ in range(n_groups)]
-    refs = block_refs(ds)
     if not refs:
         return KeyedBuckets(groups, edges, key_cols)
     # coalesce tiny upstream blocks: bounded split-task count, each task
