@@ -107,7 +107,7 @@ def _model_bucket_tables(ds, key_cols: list[str], num_buckets: int) -> dict:
     return {j: pa.concat_tables(ts) for j, ts in parts.items()}
 
 
-def test_reduce_calls_fn_once_per_nonempty_bucket_on_the_same_tables(tmp_path):
+def test_reduce_calls_fn_once_per_nonempty_bucket_on_the_same_tables(tmp_path, monkeypatch):
     """A spy on *fn* sees one call per non-empty bucket, each with the
     table the per-bucket exchange gave that bucket (rows and order), and
     at most G reduce tasks start."""
@@ -122,12 +122,8 @@ def test_reduce_calls_fn_once_per_nonempty_bucket_on_the_same_tables(tmp_path):
         return t.slice(0, 1)
 
     launches = _Launches(core._reduce_task)
-    monkey = pytest.MonkeyPatch()
-    monkey.setattr(core, "_reduce_task", launches)
-    try:
-        out = core.grouped_by_bucket(ds, ["k"], spy, nb, batch_format="pyarrow")
-    finally:
-        monkey.undo()
+    monkeypatch.setattr(core, "_reduce_task", launches)
+    out = core.grouped_by_bucket(ds, ["k"], spy, nb, batch_format="pyarrow")
     assert 0 < launches.n <= _groups(nb)
     model = _model_bucket_tables(ds, ["k"], nb)
     seen = {}
@@ -167,22 +163,18 @@ def test_two_side_reduce_keeps_empty_side_rules():
 
 # --- the exactly-once sink --------------------------------------------------
 
-def test_write_exactly_once_partitions_match_model(tmp_path):
+def test_write_exactly_once_partitions_match_model(tmp_path, monkeypatch):
     """At G < partitions every partition p holds exactly the rows whose
     bucket is p, and at most G commit tasks start."""
     t = _keyed(4000)
     nb = 32
     assert _groups(nb) < nb
     launches = _Launches(manifest._agg_commit_task)
-    monkey = pytest.MonkeyPatch()
-    monkey.setattr(manifest, "_agg_commit_task", launches)
+    monkeypatch.setattr(manifest, "_agg_commit_task", launches)
     out = str(tmp_path / "out")
-    try:
-        stats = manifest.write_exactly_once(
-            ray.data.from_arrow(t).repartition(4), out, part_by="k", num_partitions=nb,
-            ts_col="ts")
-    finally:
-        monkey.undo()
+    stats = manifest.write_exactly_once(
+        ray.data.from_arrow(t).repartition(4), out, part_by="k", num_partitions=nb,
+        ts_col="ts")
     assert launches.n == _groups(nb)
     assert stats.partition_id.tolist() == list(range(nb)) and not stats.skipped.any()
     b = core.bucket_ids(t, ["k"], nb)
@@ -192,7 +184,7 @@ def test_write_exactly_once_partitions_match_model(tmp_path):
         pd.testing.assert_frame_equal(_sorted(got), _sorted(t.filter(pa.array(b == pid))))
 
 
-def test_precommitted_pids_of_a_group_are_skipped(tmp_path):
+def test_precommitted_pids_of_a_group_are_skipped(tmp_path, monkeypatch):
     """Some pids of one group already committed: they come back skipped
     with their files untouched, the group's other pids commit, and no
     other group starts a task."""
@@ -211,13 +203,8 @@ def test_precommitted_pids_of_a_group_are_skipped(tmp_path):
               for p in kept}
 
     launches = _Launches(manifest._agg_commit_task)
-    monkey = pytest.MonkeyPatch()
-    monkey.setattr(manifest, "_agg_commit_task", launches)
-    try:
-        stats = manifest.write_exactly_once(ds, out, part_by="k", num_partitions=nb,
-                                            ts_col="ts")
-    finally:
-        monkey.undo()
+    monkeypatch.setattr(manifest, "_agg_commit_task", launches)
+    stats = manifest.write_exactly_once(ds, out, part_by="k", num_partitions=nb, ts_col="ts")
     assert launches.n == 1
     assert stats.partition_id.tolist() == list(range(nb))
     assert stats.skipped.tolist() == [p not in redo for p in range(nb)]
@@ -229,7 +216,7 @@ def test_precommitted_pids_of_a_group_are_skipped(tmp_path):
         pd.testing.assert_frame_equal(_sorted(got), _sorted(t.filter(pa.array(b == pid))))
 
 
-def test_retried_group_commit_skips_what_it_committed(tmp_path):
+def test_retried_group_commit_skips_what_it_committed(tmp_path, monkeypatch):
     """A group task that crashes after committing two of its pids is
     retried by Ray; the retry reports those two from their manifests
     without calling *fn* again and commits the rest."""
@@ -247,12 +234,8 @@ def test_retried_group_commit_skips_what_it_committed(tmp_path):
         return manifest._concat(slices)
 
     # one group, so the crash lands in the task holding every pid
-    monkey = pytest.MonkeyPatch()
-    monkey.setattr(core, "reduce_group_edges", lambda n: (0, n))
-    try:
-        buckets = core.hash_exchange(ray.data.from_arrow(t), ["k"], nb)
-    finally:
-        monkey.undo()
+    monkeypatch.setattr(core, "reduce_group_edges", lambda n: (0, n))
+    buckets = core.hash_exchange(ray.data.from_arrow(t), ["k"], nb)
     out = str(tmp_path / "out")
     stats = manifest._commit_buckets(buckets, flaky, out, "ts", None)
     assert os.path.exists(flag)
